@@ -9,7 +9,7 @@
 //! ```
 //!
 //! The store is deliberately dumb: it never interprets frame bytes
-//! (callers validate via [`crate::cellframe::CellFrame::decode`], so a
+//! (callers validate via [`crate::cellframe::CellFrameReader`], so a
 //! corrupt or truncated file degrades to a cache miss, never a wrong
 //! answer), and it never fsyncs (durability belongs to the sweep
 //! journal; the cache is a performance layer that may lose recent
@@ -82,26 +82,29 @@ impl CellStore {
 
     /// Persists sealed frame bytes under `fp`, evicting the oldest
     /// entries beyond the cap. Already-present entries are left alone
-    /// (content-addressed: same key ⇒ same bytes).
+    /// (content-addressed: same key ⇒ same bytes), and `index.log` is
+    /// rewritten only when the set of entries changes.
     pub fn put(&self, fp: Fingerprint, bytes: &[u8]) -> Result<(), String> {
         let Some(dir) = self.dir.as_ref() else {
             return Ok(());
         };
         let path = dir.join(format!("{}.cell", fp.hex()));
         let mut index = self.index.lock().unwrap_or_else(PoisonError::into_inner);
-        if !index.contains(&fp) || !path.exists() {
-            let scratch = dir.join(format!(
-                ".tmp-{}-{}",
-                std::process::id(),
-                SCRATCH.fetch_add(1, Ordering::Relaxed)
-            ));
-            fs::write(&scratch, bytes).map_err(|e| format!("write {}: {e}", scratch.display()))?;
-            fs::rename(&scratch, &path)
-                .map_err(|e| format!("rename {}: {e}", path.display()))?;
-            if !index.contains(&fp) {
-                index.push(fp);
-            }
+        let indexed = index.contains(&fp);
+        if indexed && path.exists() {
+            return Ok(());
         }
+        let scratch = dir.join(format!(
+            ".tmp-{}-{}",
+            std::process::id(),
+            SCRATCH.fetch_add(1, Ordering::Relaxed)
+        ));
+        fs::write(&scratch, bytes).map_err(|e| format!("write {}: {e}", scratch.display()))?;
+        fs::rename(&scratch, &path).map_err(|e| format!("rename {}: {e}", path.display()))?;
+        if indexed {
+            return Ok(());
+        }
+        index.push(fp);
         while index.len() > self.max_entries {
             let oldest = index.remove(0);
             let victim = dir.join(format!("{}.cell", oldest.hex()));
@@ -181,6 +184,27 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert!(store.get(fp(1)).is_none(), "oldest entry evicted");
         assert!(store.get(fp(3)).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn re_put_of_a_present_entry_leaves_the_index_untouched() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = scratch_dir("reput");
+        let store = CellStore::open(Some(&dir), 8).unwrap();
+        store.put(fp(1), b"alpha").unwrap();
+        store.put(fp(2), b"beta").unwrap();
+        let log = dir.join("index.log");
+        let (inode, bytes) = (fs::metadata(&log).unwrap().ino(), fs::read(&log).unwrap());
+        store.put(fp(1), b"alpha").unwrap();
+        assert_eq!(fs::metadata(&log).unwrap().ino(), inode, "index.log was replaced");
+        assert_eq!(fs::read(&log).unwrap(), bytes);
+        // A present index entry whose file vanished is rewritten, still
+        // without touching the index.
+        fs::remove_file(store.entry_path(fp(2)).unwrap()).unwrap();
+        store.put(fp(2), b"beta").unwrap();
+        assert_eq!(store.get(fp(2)).as_deref(), Some(&b"beta"[..]));
+        assert_eq!(fs::metadata(&log).unwrap().ino(), inode, "index.log was replaced");
         let _ = fs::remove_dir_all(&dir);
     }
 

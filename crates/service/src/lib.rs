@@ -3,17 +3,21 @@
 //! A long-running front end for the simulation grid: requests come in
 //! as config JSON (over a Unix socket via `pckptd`, or in-process),
 //! are canonicalized into the binding-digest normal form
-//! ([`pckpt_core::fingerprint`]), and are served through three reuse
-//! layers, cheapest first:
+//! ([`pckpt_core::fingerprint`]), and each surviving cell is served by
+//! the first of these layers that holds it:
 //!
-//! 1. a **content-addressed cell cache** — computed cells persist as
-//!    sealed result frames keyed by fingerprint, so replaying a sweep
-//!    is a read, not a simulation ([`cache`]);
-//! 2. **single-flight admission** — concurrent identical requests
-//!    coalesce onto one computation ([`flight`]);
-//! 3. a **crash-safe sweep journal** — each completed cell is appended
+//! 1. **single-flight admission** — completed cells stay resident as
+//!    their folded results (a bounded, least-recently-served memory
+//!    tier), and concurrent identical requests coalesce onto one
+//!    computation ([`flight`]);
+//! 2. a **crash-safe sweep journal** — each completed cell is appended
 //!    (digest-checked) before publication, so a killed daemon resumes
-//!    re-executing only what never finished ([`journal`]).
+//!    re-executing only what never finished ([`journal`]);
+//! 3. a **content-addressed cell cache** — computed cells persist as
+//!    sealed result frames keyed by fingerprint, so replaying a sweep
+//!    is a read, not a simulation ([`cache`]).
+//!
+//! A cell none of them holds is computed.
 //!
 //! All three lean on one repo-wide invariant: per-cell grid aggregates
 //! are **bit-identical** to standalone runs regardless of pool

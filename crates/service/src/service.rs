@@ -1,20 +1,27 @@
-//! The campaign engine: three layers between a request and the
-//! simulation pool.
+//! The campaign engine: reuse layers between a request and the
+//! simulation pool, tried cheapest first for each surviving cell.
 //!
-//! 1. **Content-addressed cache** ([`crate::cache::CellStore`]): a
+//! 1. **Memory tier** ([`crate::flight::SingleFlight`]): each cell
+//!    that entered this daemon stays resident as its *fold*, so a
+//!    repeat is answered with no filesystem access, seal check, decode
+//!    or fold. The same table is the single-flight admission layer:
+//!    concurrent identical cells coalesce onto one computation.
+//! 2. **Sweep journal** ([`crate::journal::Journal`]): every computed
+//!    cell is appended (digest-checked) before it is published, so a
+//!    killed daemon resumes the campaign re-executing only the cells
+//!    that never completed — and the merged digest is bit-identical to
+//!    an uninterrupted sweep. Opened only when some cell missed memory.
+//! 3. **Content-addressed cache** ([`crate::cache::CellStore`]): a
 //!    cell whose fingerprint was computed before — by any request, any
 //!    daemon lifetime — is served from its sealed frame. The repo's
 //!    determinism contract (per-cell grid aggregates are bit-identical
 //!    to standalone runs regardless of pool composition) is what makes
 //!    per-cell reuse *sound*: a cached frame folds to the exact bytes
 //!    a fresh simulation would produce.
-//! 2. **Single-flight admission** ([`crate::flight::SingleFlight`]):
-//!    concurrent identical cells coalesce onto one computation.
-//! 3. **Sweep journal** ([`crate::journal::Journal`]): every computed
-//!    cell is appended (digest-checked) before it is published, so a
-//!    killed daemon resumes the campaign re-executing only the cells
-//!    that never completed — and the merged digest is bit-identical to
-//!    an uninterrupted sweep.
+//!
+//! A cell that misses all three is computed. Whatever layer a cell
+//! comes from, it is seal-checked (if read from disk) and folded
+//! exactly once, as it enters memory.
 //!
 //! Adaptive-allocation campaigns (`config.vr.adaptive`) are the one
 //! shape none of this applies to: grid-pooled pilot feedback makes a
@@ -29,8 +36,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use pckpt_core::{
-    campaign_fingerprints, fold_cell_results, run_grid_filtered, run_grid_with_cell_sink,
-    splice_pruned, AnalyticVerdict, CellFold, Fingerprint, GridCell, GridResult, RunnerConfig,
+    campaign_fingerprints, run_grid_filtered, run_grid_with_cell_sink, splice_pruned,
+    AnalyticVerdict, CampaignResult, CellFold, Fingerprint, GridCell, GridResult, RunResult,
+    RunnerConfig,
 };
 use pckpt_failure::LeadTimeModel;
 
@@ -44,6 +52,10 @@ use crate::request::CampaignRequest;
 /// the `PCKPT_SERVICE_FAIL=crash:<k>` hook counts against this.
 static APPENDS: AtomicU64 = AtomicU64::new(0);
 
+/// A cell's folded result and attained relative CI: what the memory
+/// tier holds. `CampaignResult::threads` is stamped per request.
+type Folded = (CampaignResult, f64);
+
 /// Service configuration (directories and retention).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -53,7 +65,7 @@ pub struct ServiceConfig {
     pub state_dir: Option<PathBuf>,
     /// Maximum cells retained on disk.
     pub cache_max: usize,
-    /// Maximum completed cells retained in memory.
+    /// Maximum folded cells retained in memory.
     pub mem_max: usize,
     /// Journal sync policy.
     pub sync: SyncPolicy,
@@ -97,7 +109,8 @@ impl ServiceConfig {
 /// Per-request accounting, reported in the response meta.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceMeta {
-    /// Survivor cells served from the persistent cache.
+    /// Survivor cells served from the memory tier or the persistent
+    /// cache.
     pub cache_hits: u64,
     /// Survivor cells not found in any reuse layer (computed fresh).
     pub cache_misses: u64,
@@ -171,7 +184,7 @@ fn crash_hook_after_append() {
 pub struct Service {
     cfg: ServiceConfig,
     store: CellStore,
-    flight: SingleFlight,
+    flight: SingleFlight<Folded>,
     /// Per-campaign journal locks: identical concurrent campaigns
     /// serialize on their shared journal file; distinct campaigns
     /// proceed in parallel.
@@ -206,21 +219,36 @@ impl Service {
         Arc::clone(locks.entry(fp.as_u128()).or_default())
     }
 
-    /// Validates recovered/cached bytes as the frame for `fp`,
-    /// publishing on success. Validation is seal + header (the seal
-    /// already proves the bytes are exactly what `encode` wrote); the
-    /// fold streams the results out later without a second pass.
-    fn adopt(&self, fp: Fingerprint, bytes: Vec<u8>, config: &RunnerConfig) -> Option<Arc<Vec<u8>>> {
-        let reader = CellFrameReader::open(&bytes, Some(fp)).ok()?;
-        if reader.runs as usize != config.runs {
+    /// Validates recovered/cached bytes as the frame for `cell`
+    /// (fingerprint `fp`), folds them and publishes the fold to the
+    /// memory tier. This is the only place stored bytes are read: one
+    /// seal check, then the results stream straight into `CellFold`
+    /// through one scratch value. `None` (damage, wrong identity or
+    /// shape) sends the cell on to the next layer.
+    fn adopt(
+        &self,
+        fp: Fingerprint,
+        cell: &GridCell,
+        bytes: &[u8],
+        config: &RunnerConfig,
+    ) -> Option<Arc<Folded>> {
+        let mut reader = CellFrameReader::open(bytes, Some(fp)).ok()?;
+        if reader.lanes as usize != cell.models.len() || reader.runs as usize != config.runs {
             return None;
         }
-        let bytes = Arc::new(bytes);
-        self.flight.publish(fp.as_u128(), Arc::clone(&bytes));
-        Some(bytes)
+        let mut fold = CellFold::new(cell, config, 0);
+        let mut scratch = RunResult::default();
+        for _ in 0..cell.models.len() * config.runs {
+            reader.next_result_into(&mut scratch).ok()?;
+            fold.push(&scratch);
+        }
+        let folded = Arc::new(fold.finish());
+        self.flight.publish(fp.as_u128(), Arc::clone(&folded));
+        Some(folded)
     }
 
-    /// Serves one campaign request through the three reuse layers.
+    /// Serves one campaign request through the reuse layers: memory,
+    /// then journal, then disk cache, then compute.
     pub fn execute(&self, req: &CampaignRequest) -> Result<ServiceOutcome, String> {
         if req.config.vr.adaptive.is_some() {
             // Grid-pooled adaptive feedback: cell results depend on
@@ -261,56 +289,56 @@ impl Service {
         let lock = self.campaign_lock(campaign_fp);
         let _campaign = lock.lock().unwrap_or_else(PoisonError::into_inner);
 
-        // Frames decoded (or computed) on the way in, so the fold pass
-        // below never re-decodes bytes this request already validated.
-        let mut frames: Vec<Option<CellFrame>> = (0..survivors.len()).map(|_| None).collect();
-        let mut recovered_bytes: BTreeMap<usize, Arc<Vec<u8>>> = BTreeMap::new();
+        // Memory tier first: a resident cell is already folded.
+        let mut resolved: Vec<Option<Arc<Folded>>> =
+            fps.iter().map(|fp| self.flight.peek(fp.as_u128())).collect();
+        meta.cache_hits = resolved.iter().flatten().count() as u64;
+
+        // The journal is opened only when some cell missed memory, and
+        // only those cells are adopted from it.
         let mut journal = match self.cfg.state_dir.as_ref() {
-            Some(dir) => {
+            Some(dir) if resolved.iter().any(Option::is_none) => {
                 let path = dir.join(format!("{}.journal", campaign_fp.hex()));
                 let (journal, recovered) =
                     Journal::open(&path, campaign_fp, survivors.len(), self.cfg.sync)?;
                 // Recovered cells re-enter every layer: a resumed
                 // daemon serves them without re-execution.
                 for (idx, bytes) in recovered {
-                    if let Some(adopted) = self.adopt(fps[idx], bytes, config) {
-                        self.store.put(fps[idx], &adopted)?;
+                    if resolved[idx].is_some() {
+                        continue;
+                    }
+                    if let Some(folded) = self.adopt(fps[idx], &survivors[idx], &bytes, config) {
+                        self.store.put(fps[idx], &bytes)?;
                         meta.journal_recovered += 1;
-                        recovered_bytes.insert(idx, adopted);
+                        resolved[idx] = Some(folded);
                     }
                 }
                 Some(journal)
             }
-            None => None,
+            _ => None,
         };
 
-        // Layer pass: resolve every survivor to Ready / Leader /
-        // Pending. All claims happen before any wait (deadlock-free
-        // coalescing; see crate::flight).
-        let mut resolved: Vec<Option<Arc<Vec<u8>>>> = vec![None; survivors.len()];
+        // Layer pass: resolve every remaining survivor to Ready /
+        // Leader / Pending. All claims happen before any wait
+        // (deadlock-free coalescing; see crate::flight).
         let mut to_compute: Vec<usize> = Vec::new();
         let mut pending: Vec<usize> = Vec::new();
         for i in 0..survivors.len() {
-            // Cells this request just pulled out of its own journal are
-            // already accounted as journal_recovered, not cache hits.
-            if let Some(bytes) = recovered_bytes.remove(&i) {
-                resolved[i] = Some(bytes);
-                continue;
-            }
-            if let Some(bytes) = self.flight.peek(fps[i].as_u128()) {
-                resolved[i] = Some(bytes);
-                meta.cache_hits += 1;
+            if resolved[i].is_some() {
                 continue;
             }
             if let Some(bytes) = self.store.get(fps[i]) {
-                if let Some(adopted) = self.adopt(fps[i], bytes, config) {
-                    resolved[i] = Some(adopted);
+                if let Some(folded) = self.adopt(fps[i], &survivors[i], &bytes, config) {
+                    resolved[i] = Some(folded);
                     meta.cache_hits += 1;
                     continue;
                 }
             }
             match self.flight.claim(fps[i].as_u128()) {
-                Claim::Ready(bytes) => resolved[i] = Some(bytes),
+                Claim::Ready(folded) => {
+                    resolved[i] = Some(folded);
+                    meta.cache_hits += 1;
+                }
                 Claim::Leader => {
                     meta.cache_misses += 1;
                     to_compute.push(i);
@@ -332,7 +360,6 @@ impl Service {
                 config,
                 journal.as_mut(),
                 &mut resolved,
-                &mut frames,
                 &mut meta,
             )?);
         }
@@ -340,14 +367,14 @@ impl Service {
         // Only now wait on cells other requests lead.
         for i in pending {
             loop {
-                if let Some(bytes) = self.flight.wait(fps[i].as_u128()) {
-                    resolved[i] = Some(bytes);
+                if let Some(folded) = self.flight.wait(fps[i].as_u128()) {
+                    resolved[i] = Some(folded);
                     break;
                 }
                 // The leader abandoned this cell; take over.
                 match self.flight.claim(fps[i].as_u128()) {
-                    Claim::Ready(bytes) => {
-                        resolved[i] = Some(bytes);
+                    Claim::Ready(folded) => {
+                        resolved[i] = Some(folded);
                         break;
                     }
                     Claim::Pending => continue,
@@ -360,7 +387,6 @@ impl Service {
                             config,
                             journal.as_mut(),
                             &mut resolved,
-                            &mut frames,
                             &mut meta,
                         )?;
                         if computed_grid.is_none() {
@@ -372,54 +398,23 @@ impl Service {
             }
         }
 
-        // Fold every survivor frame in the canonical order and
-        // assemble the survivor grid.
+        // Assemble the survivor grid from the folds, stamping this
+        // request's thread count onto each cell.
         let threads = computed_grid
             .as_ref()
             .map(|g| g.threads)
             .unwrap_or_else(|| config.effective_threads_for(0));
         let mut campaigns = Vec::with_capacity(survivors.len());
         let mut cell_ci_rel = Vec::with_capacity(survivors.len());
-        for (i, cell) in survivors.iter().enumerate() {
-            let bytes = resolved[i]
-                .as_ref()
+        for (i, folded) in resolved.iter().enumerate() {
+            let (campaign, ci) = folded
+                .as_deref()
                 .ok_or_else(|| format!("cell {i} unresolved after compute/wait"))?;
-            let shape_err = |lanes: u32, runs: u64| {
-                format!(
-                    "cell {i} frame shape {lanes}×{runs} does not match request {}×{}",
-                    cell.models.len(),
-                    config.runs
-                )
-            };
-            // Cells this request computed still hold their in-memory
-            // frame; everything else folds streaming from the bytes.
-            let (campaign, ci) = match frames[i].take() {
-                Some(frame) => {
-                    if frame.lanes as usize != cell.models.len()
-                        || frame.runs as usize != config.runs
-                    {
-                        return Err(shape_err(frame.lanes, frame.runs));
-                    }
-                    fold_cell_results(cell, config, &frame.results, threads)
-                }
-                None => {
-                    let mut reader = CellFrameReader::open(bytes, Some(fps[i]))?;
-                    if reader.lanes as usize != cell.models.len()
-                        || reader.runs as usize != config.runs
-                    {
-                        return Err(shape_err(reader.lanes, reader.runs));
-                    }
-                    let mut fold = CellFold::new(cell, config, threads);
-                    let mut scratch = pckpt_core::RunResult::default();
-                    for _ in 0..cell.models.len() * config.runs {
-                        reader.next_result_into(&mut scratch)?;
-                        fold.push(&scratch);
-                    }
-                    fold.finish()
-                }
-            };
-            campaigns.push(campaign);
-            cell_ci_rel.push(ci);
+            campaigns.push(CampaignResult {
+                threads,
+                ..campaign.clone()
+            });
+            cell_ci_rel.push(*ci);
         }
 
         let simulated = if survivors.is_empty() {
@@ -450,7 +445,8 @@ impl Service {
     }
 
     /// Runs the `indices` subset of `survivors` as one pooled grid,
-    /// journaling, caching, and publishing each cell as it completes.
+    /// journaling, caching, folding and publishing each cell as it
+    /// completes.
     #[allow(clippy::too_many_arguments)]
     fn compute_batch(
         &self,
@@ -459,8 +455,7 @@ impl Service {
         indices: &[usize],
         config: &RunnerConfig,
         mut journal: Option<&mut Journal>,
-        resolved: &mut [Option<Arc<Vec<u8>>>],
-        frames: &mut [Option<CellFrame>],
+        resolved: &mut [Option<Arc<Folded>>],
         meta: &mut ServiceMeta,
     ) -> Result<GridResult, String> {
         let subset: Vec<GridCell> = indices.iter().map(|&i| survivors[i].clone()).collect();
@@ -476,13 +471,13 @@ impl Service {
             }
             let survivor_idx = indices[cr.cell];
             let fp = fps[survivor_idx];
-            let frame = CellFrame {
+            let bytes = CellFrame {
                 fp,
                 lanes: cr.lanes as u32,
                 runs: cr.runs as u64,
                 results: cr.iter().cloned().collect(),
-            };
-            let bytes = frame.encode();
+            }
+            .encode();
             if let Some(j) = journal.as_deref_mut() {
                 if let Err(e) = j.append_cell(survivor_idx, &bytes) {
                     sink_err = Some(e);
@@ -496,11 +491,14 @@ impl Service {
                 sink_err = Some(e);
                 return;
             }
-            let bytes = Arc::new(bytes);
-            self.flight.publish(fp.as_u128(), Arc::clone(&bytes));
+            let mut fold = CellFold::new(&survivors[survivor_idx], config, 0);
+            for r in cr.iter() {
+                fold.push(r);
+            }
+            let folded = Arc::new(fold.finish());
+            self.flight.publish(fp.as_u128(), Arc::clone(&folded));
             guard.published(fp.as_u128());
-            resolved[survivor_idx] = Some(bytes);
-            frames[survivor_idx] = Some(frame);
+            resolved[survivor_idx] = Some(folded);
         });
         drop(guard); // Abandons anything the sink never published.
         if let Some(e) = sink_err {

@@ -10,6 +10,9 @@
 //!   `PCKPT_SERVICE_FAIL=crash:<k>` hook, same idiom as
 //!   `PCKPT_SHARD_FAIL`) resumes to a bit-identical merged digest,
 //!   re-executing only the cells that never hit the journal;
+//! * **memory tier** — repeats inside one daemon are answered from
+//!   resident folds, without the journal or the cache, and respond
+//!   exactly as a restarted daemon would;
 //! * **journal robustness** — a journal truncated or corrupted at an
 //!   *arbitrary byte offset* still resumes to the golden digest
 //!   (proptest), because recovery keeps exactly the longest valid
@@ -357,5 +360,61 @@ fn respond_reports_errors_without_panicking() {
         assert!(body.starts_with("ERR "), "{bad:?} → {body}");
         assert!(!body.contains("OK"));
     }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn repeats_inside_one_daemon_are_served_from_memory() {
+    let root = scratch_root("memory");
+    let golden = golden_digest();
+    let req = parse_request(REQ).unwrap();
+    let service = service_in(&root);
+    let cold = service.execute(&req).expect("cold request");
+    assert_eq!(cold.meta.computed_cells, 4);
+
+    let warm = service.execute(&req).expect("repeat request");
+    assert_eq!(warm.meta.cache_hits, 4, "every cell resident in memory");
+    assert_eq!(warm.meta.journal_recovered, 0, "a resident repeat never replays the journal");
+    assert_eq!(warm.meta.computed_cells, 0);
+    assert_eq!(grid_digest(&warm.grid).hex(), golden, "memory-served != direct");
+
+    // The memory tier needs no file at all.
+    std::fs::remove_dir_all(root.join("cache")).expect("clear cache");
+    std::fs::remove_dir_all(root.join("state")).expect("clear journal");
+    let again = service.execute(&req).expect("repeat without files");
+    assert_eq!(again.meta.computed_cells, 0);
+    assert_eq!(grid_digest(&again.grid).hex(), golden, "file-free repeat != direct");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn memory_served_response_matches_a_restart_served_one() {
+    let root = scratch_root("memory-respond");
+    let service = service_in(&root);
+    let cold = respond(REQ, &service);
+    assert!(cold.ends_with("OK\n"), "{cold}");
+    let from_memory = respond(REQ, &service);
+    let from_disk = respond(REQ, &service_in(&root));
+    assert!(from_memory.contains("\"journal_recovered\":0"), "{from_memory}");
+    assert!(from_disk.contains("\"journal_recovered\":4"), "{from_disk}");
+
+    // The service accounting keys trail the grid meta; everything
+    // before them (threads included) must match line for line.
+    let without_accounting = |body: &str| -> Vec<String> {
+        body.lines()
+            .map(|l| l.split(",\"cache_hits\":").next().unwrap_or(l).to_string())
+            .collect()
+    };
+    assert_eq!(without_accounting(&from_memory), without_accounting(&from_disk));
+
+    // Per-cell thread stamps agree as well.
+    let req = parse_request(REQ).unwrap();
+    let threads = |outcome: pckpt_service::ServiceOutcome| -> Vec<usize> {
+        outcome.grid.cells.iter().map(|c| c.threads).collect()
+    };
+    assert_eq!(
+        threads(service.execute(&req).expect("memory repeat")),
+        threads(service_in(&root).execute(&req).expect("restart repeat")),
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
