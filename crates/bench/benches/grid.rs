@@ -75,21 +75,22 @@ fn bench_grid_unit_warm(c: &mut Criterion) {
     }
 
     let mut group = c.benchmark_group("grid_unit_warm");
-    // Unit 0 at a fresh run index every iteration: trace cache miss.
+    // Both arms execute the same unit, so their gap is the cost of
+    // generating its trace. Miss: a fresh run index every iteration.
+    const UNIT: usize = 0;
     let mut run = 1usize;
     group.bench_function("trace_miss_xgc", |b| {
         b.iter(|| {
-            let r = worker.run_unit(&master, run, 0);
+            let r = worker.run_unit(&master, run, UNIT);
             run += 1;
             black_box(r.wall_secs);
         })
     });
-    // Alternate units of one run: every execution after the first is a
-    // trace-cache hit.
-    let last = plan.units() - 1;
+    // Hit: the run held fixed, so every execution after the first
+    // reuses the worker's cached trace.
     group.bench_function("trace_hit_xgc", |b| {
         b.iter(|| {
-            let r = worker.run_unit(&master, 0, last);
+            let r = worker.run_unit(&master, 0, UNIT);
             black_box(r.wall_secs);
         })
     });

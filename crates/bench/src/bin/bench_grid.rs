@@ -50,7 +50,7 @@ fn digest(a: &Aggregate) -> (u64, u64, u64) {
 
 fn main() {
     let leads = LeadTimeModel::desh_default();
-    // Shard-child hook: when `run_grid_sharded` re-invokes this binary
+    // Shard-child hook: when `run_grid_sharded_opts` re-invokes this binary
     // with the coordinator's environment contract, execute one shard of
     // the fig4 sweep and exit instead of benchmarking.
     if let Some(spec) = pckpt_core::shard_spec_from_env() {

@@ -2,8 +2,9 @@
 
 use pckpt_analysis::Table;
 use pckpt_core::{
-    run_grid, run_grid_sharded, run_shard_child, shard_child_config, shard_spec_from_env,
-    Aggregate, GridCell, ModelKind, RunnerConfig, ShardLauncher, SimParams,
+    run_grid, run_grid_sharded_opts, run_shard_child, shard_child_config, shard_spec_from_env,
+    Aggregate, GridCell, ModelKind, Prefilter, RunnerConfig, ShardLauncher, ShardOptions,
+    SimParams,
 };
 use pckpt_failure::LeadTimeModel;
 use pckpt_workloads::{Application, TABLE_I};
@@ -70,7 +71,14 @@ fn grid(g: &GridOptions) -> Result<(), String> {
     let leads = LeadTimeModel::desh_default();
     let config = RunnerConfig::new(g.opts.runs, g.opts.seed).with_env_vr();
     let result = if g.shards > 1 {
-        run_grid_sharded(&cells, &leads, &config, g.shards, &shard_launcher(g)?)?
+        run_grid_sharded_opts(
+            &cells,
+            &leads,
+            &config,
+            &ShardOptions::from_env(g.shards),
+            &shard_launcher(g)?,
+            Prefilter::from_env().as_ref(),
+        )?
     } else {
         run_grid(&cells, &leads, &config)
     };

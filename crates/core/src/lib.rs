@@ -28,8 +28,10 @@
 //! * [`metrics`] — the overhead ledger (checkpoint / recomputation /
 //!   recovery), FT-ratio accounting, and cross-run aggregation;
 //! * [`runner`] — Monte-Carlo driver: paired failure traces across
-//!   models, deterministic per-run RNG streams, thread-parallel
-//!   execution.
+//!   models, deterministic per-run RNG streams, one work-stealing pool
+//!   loop, and [`CellFold`], the one fold of every fixed-run sweep;
+//! * [`shard`] — the same sweep split across subprocesses, its result
+//!   frames folded back through [`CellFold`].
 
 #![warn(missing_docs)]
 
@@ -53,14 +55,13 @@ pub use fingerprint::{
 pub use metrics::{Aggregate, OverheadLedger, RunResult};
 pub use prefilter::{AnalyticVerdict, Prefilter, DEFAULT_MARGIN};
 pub use runner::{
-    fold_cell_results, fold_cell_results_with, parse_runs_spec, parse_vr_spec, record_run,
-    run_grid, run_grid_filtered,
+    fold_cell_results, parse_runs_spec, parse_vr_spec, record_run, run_grid, run_grid_filtered,
     run_grid_with_cell_sink, run_many, run_models, splice_pruned, AdaptiveConfig, CampaignResult,
-    CellFold, CellResults, GridCell, GridPlan, GridResult, GridWorker, RunArena, RunnerConfig,
-    RunsSpec, ShardMeta, VrConfig,
+    CellFold, CellResults, GridCell, GridPlan, GridResult, GridWorker, PoolStats, RunArena,
+    RunnerConfig, RunsSpec, ShardMeta, VrConfig,
 };
 pub use shard::{
-    decode_frame, encode_frame, run_grid_sharded, run_grid_sharded_opts, run_shard_child,
+    decode_frame, encode_frame, run_grid_sharded_opts, run_shard_child,
     shard_child_config, shard_spec_from_env, ShardAssignment, ShardFrame, ShardLauncher,
     ShardOptions, ShardPlan, ShardSpec,
 };

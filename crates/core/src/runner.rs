@@ -41,14 +41,22 @@
 //!
 //! Workers publish per-run results into a preallocated lock-free slab:
 //! every `(lane, run)` slot is written by exactly one worker (the claim
-//! counter partitions the item space), so slot writes need no mutex. The
-//! fold into aggregates happens on the main thread in ascending run
-//! order per lane, which keeps every cell's aggregate **bit-identical**
-//! to a standalone [`run_models`] call for any thread count and any
-//! work-stealing interleaving.
+//! counter partitions the item space), so slot writes need no mutex.
+//! One pool loop, `run_pool_range`, serves every sweep: the fixed-run
+//! engine runs it once over all runs, adaptive allocation once per
+//! batch, a shard child once over its run range.
+//!
+//! Every fixed-run sweep — in-process, sharded or served by the campaign
+//! service — folds each cell through one [`CellFold`] on the main
+//! thread, per lane in ascending run order. That keeps every cell's
+//! aggregate **bit-identical** to a standalone [`run_models`] call for
+//! any thread count, work-stealing interleaving or shard geometry.
+//! Adaptive allocation ([`AdaptiveConfig`]) folds the same way but keeps
+//! its trackers grid-pooled across batches, because its stopping rule
+//! and Neyman schedule feed back into what runs next.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use pckpt_desim::{run_with_queue, EventQueue};
@@ -341,7 +349,7 @@ fn vr_run_rng(master: &SimRng, run: usize, vr: &VrConfig, stratum: u32) -> SimRn
 /// The static (non-adaptive) stratum assignment for run `run`: pairs (or
 /// single runs) round-robin through the strata, so any prefix of the run
 /// sequence is balanced to within one sample per stratum.
-pub(crate) fn fixed_stratum(run: usize, vr: &VrConfig) -> u32 {
+fn fixed_stratum(run: usize, vr: &VrConfig) -> u32 {
     if vr.strata == 0 {
         return 0;
     }
@@ -837,9 +845,9 @@ impl<'a, 'p> GridWorker<'a, 'p> {
     /// caller copies it into every member lane's slot). Deterministic in
     /// `(master, run, unit)` and the worker's [`VrConfig`] alone —
     /// worker-local caches never change results, only whether work is
-    /// redone. Stratified runs use the static round-robin stratum; the
-    /// adaptive pool supplies its own schedule via
-    /// [`run_unit_stratum`](Self::run_unit_stratum).
+    /// redone. Stratified runs use the static round-robin stratum, as
+    /// the fixed-run pool does; adaptive batches pass their own schedule
+    /// to [`run_unit_stratum`](Self::run_unit_stratum).
     pub fn run_unit(&mut self, master: &SimRng, run: usize, unit: usize) -> RunResult {
         let stratum = fixed_stratum(run, &self.vr);
         self.run_unit_stratum(master, run, unit, stratum)
@@ -954,7 +962,7 @@ impl ResultSlab {
 }
 
 /// Per-sweep shard/merge accounting, populated by
-/// [`run_grid_sharded`](crate::shard::run_grid_sharded) (`None` for
+/// [`run_grid_sharded_opts`](crate::shard::run_grid_sharded_opts) (`None` for
 /// in-process sweeps; `meta_json` then reports one shard and zero
 /// re-executions).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1017,7 +1025,88 @@ pub struct GridResult {
     pub shard_meta: Option<ShardMeta>,
 }
 
+/// A sweep's execution accounting besides its per-cell folds: the
+/// threads it ran on, the shape of the plan it executed, the trace-cache
+/// traffic its workers saw, and shard metadata. A sweep that simulated
+/// nothing reports the default with the thread count it would have used.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PoolStats {
+    /// Worker threads the sweep ran on.
+    pub threads: usize,
+    /// Distinct trace groups of the executed plan.
+    pub trace_groups: usize,
+    /// Execution units per run of the executed plan.
+    pub units: usize,
+    /// Trace generations performed across all workers.
+    pub trace_generations: u64,
+    /// Unit executions served from a worker's per-run trace cache.
+    pub trace_reuses: u64,
+    /// Shard/merge accounting (`None` for in-process sweeps).
+    pub shard_meta: Option<ShardMeta>,
+}
+
+impl PoolStats {
+    /// The accounting of `workers` after they ran `plan`.
+    fn of(plan: &GridPlan, workers: &[GridWorker]) -> Self {
+        PoolStats {
+            threads: workers.len(),
+            trace_groups: plan.trace_groups(),
+            units: plan.units(),
+            trace_generations: workers.iter().map(|w| w.trace_generations).sum(),
+            trace_reuses: workers.iter().map(|w| w.trace_reuses).sum(),
+            shard_meta: None,
+        }
+    }
+}
+
+impl From<&GridResult> for PoolStats {
+    fn from(g: &GridResult) -> Self {
+        PoolStats {
+            threads: g.threads,
+            trace_groups: g.trace_groups,
+            units: g.units,
+            trace_generations: g.trace_generations,
+            trace_reuses: g.trace_reuses,
+            shard_meta: g.shard_meta,
+        }
+    }
+}
+
 impl GridResult {
+    /// The one assembler of a sweep result: `cells` with their
+    /// index-aligned `(campaign, attained relative CI)` folds and
+    /// executed run counts, the nominal `runs_per_cell`, and the sweep's
+    /// `pool` accounting. The lane count is the folds' (a pruned cell's
+    /// empty campaign has none). No cell is marked pruned:
+    /// [`splice_pruned`] records the analytic verdicts.
+    pub fn assemble(
+        cells: &[GridCell],
+        folds: Vec<(CampaignResult, f64)>,
+        cell_runs: Vec<usize>,
+        runs_per_cell: usize,
+        pool: PoolStats,
+        leads: &LeadTimeModel,
+    ) -> GridResult {
+        let lanes = folds.iter().map(|(c, _)| c.aggregates.len()).sum();
+        let (campaigns, cell_ci_rel) = folds.into_iter().unzip();
+        GridResult {
+            cells: campaigns,
+            labels: cells.iter().map(|c| c.label.clone()).collect(),
+            runs_per_cell,
+            cell_runs,
+            cell_ci_rel,
+            threads: pool.threads,
+            trace_groups: pool.trace_groups,
+            lanes,
+            units: pool.units,
+            trace_generations: pool.trace_generations,
+            trace_reuses: pool.trace_reuses,
+            leads_digest: leads.digest(),
+            analytic_verdicts: vec![None; cells.len()],
+            cells_pruned: 0,
+            shard_meta: pool.shard_meta,
+        }
+    }
     /// The `i`-th cell's campaign result (input order).
     pub fn cell(&self, i: usize) -> &CampaignResult {
         &self.cells[i]
@@ -1203,88 +1292,53 @@ pub fn splice_pruned(
     verdicts: Vec<Option<AnalyticVerdict>>,
     simulated: Option<GridResult>,
 ) -> GridResult {
-    let pruned = verdicts.iter().filter(|v| v.is_some()).count();
-    let threads = simulated
-        .as_ref()
-        .map(|g| g.threads)
-        .unwrap_or_else(|| config.effective_threads_for(0));
-
-    // Splice simulated campaigns back into input order; pruned cells get
-    // an empty campaign (their answer lives in `analytic_verdicts`).
-    let mut sim_cells = simulated
-        .as_ref()
-        .map(|g| g.cells.iter().cloned())
+    let pool = simulated.as_ref().map_or_else(
+        || PoolStats {
+            threads: config.effective_threads_for(0),
+            ..PoolStats::default()
+        },
+        PoolStats::from,
+    );
+    let runs_per_cell = simulated.as_ref().map_or(config.runs, |g| g.runs_per_cell);
+    let mut sim = simulated
+        .map(|g| g.cells.into_iter().zip(g.cell_ci_rel).zip(g.cell_runs))
         .into_iter()
         .flatten();
-    let results: Vec<CampaignResult> = cells
-        .iter()
-        .zip(&verdicts)
-        .map(|(cell, verdict)| {
-            if verdict.is_some() {
-                CampaignResult {
-                    models: cell.models.clone(),
-                    aggregates: Vec::new(),
-                    threads,
-                }
-            } else {
-                // One simulated campaign per surviving cell, in order.
-                // simlint: allow(no-unwrap-in-lib)
-                sim_cells.next().expect("one campaign per surviving cell")
-            }
-        })
-        .collect();
-
-    // Per-cell run counts and attained CIs splice like the campaigns:
-    // pruned cells executed nothing and report a zero CI.
-    let mut sim_runs = simulated
-        .as_ref()
-        .map(|g| g.cell_runs.iter().copied().zip(g.cell_ci_rel.iter().copied()))
-        .into_iter()
-        .flatten();
+    let mut folds = Vec::with_capacity(cells.len());
     let mut cell_runs = Vec::with_capacity(cells.len());
-    let mut cell_ci_rel = Vec::with_capacity(cells.len());
-    for verdict in &verdicts {
-        let (r, ci) = if verdict.is_some() {
-            (0, 0.0)
+    for (cell, verdict) in cells.iter().zip(&verdicts) {
+        let (fold, runs) = if verdict.is_some() {
+            let empty = CampaignResult {
+                models: cell.models.clone(),
+                aggregates: Vec::new(),
+                threads: pool.threads,
+            };
+            ((empty, 0.0), 0)
         } else {
             // One simulated cell per surviving cell, in order.
             // simlint: allow(no-unwrap-in-lib)
-            sim_runs.next().expect("one run count per surviving cell")
+            sim.next().expect("one simulated cell per surviving cell")
         };
-        cell_runs.push(r);
-        cell_ci_rel.push(ci);
+        folds.push(fold);
+        cell_runs.push(runs);
     }
-
-    GridResult {
-        cells: results,
-        labels: cells.iter().map(|c| c.label.clone()).collect(),
-        runs_per_cell: simulated.as_ref().map_or(config.runs, |g| g.runs_per_cell),
-        cell_runs,
-        cell_ci_rel,
-        threads,
-        trace_groups: simulated.as_ref().map_or(0, |g| g.trace_groups),
-        lanes: simulated.as_ref().map_or(0, |g| g.lanes),
-        units: simulated.as_ref().map_or(0, |g| g.units),
-        trace_generations: simulated.as_ref().map_or(0, |g| g.trace_generations),
-        trace_reuses: simulated.as_ref().map_or(0, |g| g.trace_reuses),
-        leads_digest: leads.digest(),
-        analytic_verdicts: verdicts,
-        cells_pruned: pruned,
-        shard_meta: simulated.as_ref().and_then(|g| g.shard_meta),
-    }
+    let mut grid = GridResult::assemble(cells, folds, cell_runs, runs_per_cell, pool, leads);
+    grid.cells_pruned = verdicts.iter().filter(|v| v.is_some()).count();
+    grid.analytic_verdicts = verdicts;
+    grid
 }
 
 /// Folds one cell's raw lane-major per-run results in the canonical
 /// single-process order — per model lane, ascending run — returning the
 /// cell's campaign result and attained relative CI (worst lane).
 ///
-/// This is the exact fold [`run_grid`] performs and the exact fold the
-/// shard coordinator replays over frames, so feeding it a cell's
-/// decoded frame reproduces the in-process aggregate bit for bit — the
-/// service cache's equivalence argument. `results[m * config.runs + r]`
-/// must hold lane `m`'s run `r` (the [`CellResults`] iteration order).
-/// Fixed run counts only; adaptive campaigns are never frame-addressed
-/// (see [`run_grid_with_cell_sink`]).
+/// This is [`CellFold`] over a slice: the exact fold every fixed-run
+/// sweep performs, in-process or over shard frames, so feeding it a
+/// cell's decoded frame reproduces the in-process aggregate bit for bit
+/// — the service cache's equivalence argument. `results[m * config.runs
+/// + r]` must hold lane `m`'s run `r` (the [`CellResults`] iteration
+/// order). Fixed run counts only; adaptive campaigns are never
+/// frame-addressed (see [`run_grid_with_cell_sink`]).
 pub fn fold_cell_results(
     cell: &GridCell,
     config: &RunnerConfig,
@@ -1296,32 +1350,11 @@ pub fn fold_cell_results(
         cell.models.len() * config.runs,
         "lane-major results: one slot per (model, run)"
     );
-    let mut it = results.iter();
-    let folded: Result<_, std::convert::Infallible> =
-        fold_cell_results_with(cell, config, threads, || {
-            // simlint: allow(no-unwrap-in-lib) — assert pins results.len() to the polls made
-            Ok(it.next().expect("length checked above"))
-        });
-    // simlint: allow(no-unwrap-in-lib) — E is Infallible; no error value can exist
-    folded.expect("infallible source")
-}
-
-/// [`fold_cell_results`] over a pull source instead of a slice: the
-/// source is polled `models × runs` times in the canonical lane-major
-/// order, and its first error aborts the fold. This lets a caller fold
-/// a serialized frame straight from its bytes — one decoded result live
-/// at a time — without materializing the whole result vector.
-pub fn fold_cell_results_with<R: std::borrow::Borrow<RunResult>, E>(
-    cell: &GridCell,
-    config: &RunnerConfig,
-    threads: usize,
-    mut next_result: impl FnMut() -> Result<R, E>,
-) -> Result<(CampaignResult, f64), E> {
     let mut fold = CellFold::new(cell, config, threads);
-    for _ in 0..cell.models.len() * config.runs {
-        fold.push(next_result()?.borrow());
+    for r in results {
+        fold.push(r);
     }
-    Ok(fold.finish())
+    fold.finish()
 }
 
 /// Incremental (push) form of [`fold_cell_results`]: feed the cell's
@@ -1408,7 +1441,7 @@ impl<'a> CellFold<'a> {
 
 /// Relative CI half-width of an aggregate's primary metric (total
 /// overhead hours): `ci_half_width(0.95) / |mean|`, 0 when degenerate.
-pub(crate) fn rel_ci(total_hours: &Summary) -> f64 {
+fn rel_ci(total_hours: &Summary) -> f64 {
     let m = total_hours.mean().abs();
     if m > 0.0 {
         total_hours.ci_half_width(0.95) / m
@@ -1417,8 +1450,8 @@ pub(crate) fn rel_ci(total_hours: &Summary) -> f64 {
     }
 }
 
-/// One simulated cell's raw per-run results, handed to a grid sink as
-/// the deterministic main-thread fold completes the cell.
+/// One simulated cell's raw per-run results and their fold, handed to a
+/// grid sink as the main thread finishes folding the cell.
 ///
 /// `slots` is the cell's lane-major slice of the pool slab: lane `m`'s
 /// run `r` sits at `m * runs + r`, the exact order the shard frame codec
@@ -1433,6 +1466,7 @@ pub struct CellResults<'a> {
     /// Model lanes of this cell.
     pub lanes: usize,
     slots: &'a [Option<RunResult>],
+    folded: &'a (CampaignResult, f64),
 }
 
 impl CellResults<'_> {
@@ -1449,16 +1483,27 @@ impl CellResults<'_> {
     pub fn iter(&self) -> impl Iterator<Item = &RunResult> {
         (0..self.lanes).flat_map(move |m| (0..self.runs).map(move |r| self.result(m, r)))
     }
+
+    /// The cell's fold — campaign result and attained relative CI —
+    /// exactly what [`fold_cell_results`] returns over [`iter`](Self::iter).
+    pub fn folded(&self) -> &(CampaignResult, f64) {
+        self.folded
+    }
 }
 
 /// A per-cell completion callback for [`run_grid_with_cell_sink`].
 pub type CellSink<'a> = dyn FnMut(&CellResults<'_>) + 'a;
 
 /// [`run_grid`] over exactly `cells` (no prefilter), invoking `sink`
-/// with each cell's raw lane-major results as the main-thread fold
+/// with each cell's raw lane-major results and fold as the main thread
 /// completes it — the service layer's journaling/caching hook. Sink
-/// order is deterministic (ascending cell index). The returned grid is
-/// bit-identical to `run_grid_filtered(cells, leads, config, None)`.
+/// order is deterministic (ascending cell index).
+///
+/// This is the fixed-run engine itself (plain and variance-reduced
+/// alike): one `run_pool_range` over runs `[0, runs)`, then one
+/// [`CellFold`] per cell over its lane-major slots. `run_grid_filtered`
+/// calls it with a no-op sink, so the returned grid is bit-identical to
+/// `run_grid_filtered(cells, leads, config, None)` by construction.
 ///
 /// Requires a fixed run count: under adaptive allocation
 /// (`config.vr.adaptive`) a cell's results depend on grid-pooled pilot
@@ -1476,11 +1521,34 @@ pub fn run_grid_with_cell_sink(
          grid-pooled feedback makes cell results depend on pool composition"
     );
     assert!(config.runs > 0, "at least one run required");
-    if config.vr.is_active() {
-        run_grid_vr(cells, leads, config, Some(sink))
-    } else {
-        run_grid_fixed(cells, leads, config, Some(sink))
-    }
+    let plan = GridPlan::new(cells, leads);
+    let runs = config.runs;
+    let (slots, pool) = run_fixed_range(&plan, config, 0, runs);
+    let folds = cells
+        .iter()
+        .enumerate()
+        .map(|(c, cell)| {
+            let lanes = cell.models.len();
+            let lane0 = plan.lane(c, 0);
+            let slots = &slots[lane0 * runs..(lane0 + lanes) * runs];
+            let mut fold = CellFold::new(cell, config, pool.threads);
+            for slot in slots {
+                // Every (run, unit) item is claimed exactly once.
+                // simlint: allow(no-unwrap-in-lib)
+                fold.push(slot.as_ref().expect("every unit produced a result"));
+            }
+            let folded = fold.finish();
+            sink(&CellResults {
+                cell: c,
+                runs,
+                lanes,
+                slots,
+                folded: &folded,
+            });
+            folded
+        })
+        .collect();
+    GridResult::assemble(cells, folds, vec![runs; cells.len()], runs, pool, leads)
 }
 
 /// The simulation pool proper: every input cell is executed.
@@ -1489,145 +1557,82 @@ fn run_grid_simulated(
     leads: &LeadTimeModel,
     config: &RunnerConfig,
 ) -> GridResult {
-    assert!(config.runs > 0, "at least one run required");
-    if config.vr.is_active() {
-        run_grid_vr(cells, leads, config, None)
-    } else {
-        run_grid_fixed(cells, leads, config, None)
+    match config.vr.adaptive {
+        Some(a) => run_grid_adaptive(cells, leads, config, a),
+        None => run_grid_with_cell_sink(cells, leads, config, &mut |_| {}),
     }
 }
 
-/// The fixed-run simulation pool (no VR batching).
-fn run_grid_fixed(
-    cells: &[GridCell],
-    leads: &LeadTimeModel,
+/// Fresh workers for one pool over `items` work items, one per thread
+/// (see [`RunnerConfig::effective_threads_for`]).
+fn pool_workers<'a, 'p>(
+    plan: &'p GridPlan<'a>,
     config: &RunnerConfig,
-    mut sink: Option<&mut CellSink<'_>>,
-) -> GridResult {
-    let plan = GridPlan::new(cells, leads);
-    let runs = config.runs;
-    let pool = run_pool_range(&plan, config, 0, runs);
-    let threads = pool.threads;
-
-    // Deterministic main-thread fold: per lane, ascending run order —
-    // the exact push sequence a standalone run_models performs.
-    let slots = pool.slots;
-    let mut results = Vec::with_capacity(cells.len());
-    for (c, cell) in cells.iter().enumerate() {
-        let mut aggregates: Vec<Aggregate> =
-            cell.models.iter().map(|_| Aggregate::new()).collect();
-        for (m, agg) in aggregates.iter_mut().enumerate() {
-            let lane = plan.lane(c, m);
-            for run in 0..runs {
-                let slot = slots[lane * runs + run].as_ref();
-                // Every (run, unit) item is claimed exactly once. simlint: allow(no-unwrap-in-lib)
-                agg.push(slot.expect("every unit produced a result"));
-            }
-        }
-        if let Some(sink) = sink.as_mut() {
-            let lane0 = plan.lane(c, 0);
-            sink(&CellResults {
-                cell: c,
-                runs,
-                lanes: cell.models.len(),
-                slots: &slots[lane0 * runs..(lane0 + cell.models.len()) * runs],
-            });
-        }
-        results.push(CampaignResult {
-            models: cell.models.clone(),
-            aggregates,
-            threads,
-        });
-    }
-
-    let cell_ci_rel = results
-        .iter()
-        .map(|c| {
-            c.aggregates
-                .iter()
-                .map(|a| rel_ci(&a.total_hours))
-                .fold(0.0, f64::max)
-        })
-        .collect();
-
-    GridResult {
-        cells: results,
-        labels: cells.iter().map(|c| c.label.clone()).collect(),
-        runs_per_cell: runs,
-        cell_runs: vec![runs; cells.len()],
-        cell_ci_rel,
-        threads,
-        trace_groups: plan.trace_groups(),
-        lanes: plan.lanes(),
-        units: plan.units(),
-        trace_generations: pool.trace_generations,
-        trace_reuses: pool.trace_reuses,
-        leads_digest: leads.digest(),
-        analytic_verdicts: vec![None; cells.len()],
-        cells_pruned: 0,
-        shard_meta: None,
-    }
+    items: usize,
+) -> Vec<GridWorker<'a, 'p>> {
+    (0..config.effective_threads_for(items))
+        .map(|_| GridWorker::with_vr(plan, config.vr))
+        .collect()
 }
 
-/// Results of one [`run_pool_range`] sweep: `lane * span + (run - r0)`
-/// indexed per-run results plus the pool's execution accounting.
-pub(crate) struct PoolRange {
-    /// One slot per `(lane, run)` pair in the executed range.
-    pub slots: Vec<Option<RunResult>>,
-    /// Trace generations performed across all workers.
-    pub trace_generations: u64,
-    /// Unit executions served from a worker's per-run trace cache.
-    pub trace_reuses: u64,
-    /// Worker threads the pool actually ran on.
-    pub threads: usize,
-}
-
-/// Executes every unit of `plan` for the contiguous global-run range
-/// `[r0, r1)` through one work-stealing pool.
-///
-/// Each `(lane, run)` result is deterministic in `(config.base_seed,
-/// config.vr, run, unit)` alone — worker caches and chunk interleaving
-/// never reach the results — so executing a sub-range reproduces exactly
-/// the slots the same runs would fill inside a full `[0, runs)` sweep.
-/// That sub-range exactness is what makes process-sharding bit-identical
-/// (see `crate::shard`). Workers derive per-run RNG streams under
-/// `config.vr` with the static stratum schedule; adaptive allocation
-/// (which needs sequential feedback) must use [`run_grid`]'s VR pool
-/// instead.
-pub(crate) fn run_pool_range(
+/// The fixed-run pool of the in-process engine and of a shard child:
+/// [`run_pool_range`] over every unit of `plan` for the global runs
+/// `[r0, r1)` under the static stratum schedule, on fresh workers sized
+/// for the range. Returns the slots and the pool's accounting.
+pub(crate) fn run_fixed_range(
     plan: &GridPlan,
     config: &RunnerConfig,
     r0: usize,
     r1: usize,
-) -> PoolRange {
-    assert!(r0 < r1, "non-empty run range required");
-    let span = r1 - r0;
-    let n_units = plan.units.len();
-    let total = span * n_units;
-    let threads = config.effective_threads_for(total);
-    let master = SimRng::seed_from(config.base_seed);
-    let vr = config.vr;
+) -> (Vec<Option<RunResult>>, PoolStats) {
+    let units: Vec<usize> = (0..plan.units()).collect();
+    let strata: Vec<u32> = (r0..r1).map(|r| fixed_stratum(r, &config.vr)).collect();
+    let mut workers = pool_workers(plan, config, units.len() * strata.len());
+    let slots = run_pool_range(plan, config, &mut workers, r0, &units, &strata);
+    (slots, PoolStats::of(plan, &workers))
+}
 
+/// Executes one batch through the work-stealing pool formed by
+/// `workers` (one thread each): every unit in `units` for the global runs
+/// `r0 .. r0 + strata.len()`, where run `r0 + i` draws its first failure
+/// time from stratum `strata[i]`. Returns the results indexed `lane *
+/// span + (run - r0)`; lanes of units outside `units` stay `None`.
+///
+/// Each `(lane, run)` result is deterministic in `(config.base_seed, vr,
+/// run, unit, stratum)` alone — worker caches and chunk interleaving
+/// never reach the results — so executing a sub-range reproduces exactly
+/// the slots the same runs would fill inside a full `[0, runs)` sweep.
+/// That sub-range exactness is what makes process-sharding bit-identical
+/// (see `crate::shard`). The workers are borrowed, not consumed, so the
+/// adaptive engine keeps its simulators and trace buffers warm across
+/// batches; their trace counters accumulate.
+pub(crate) fn run_pool_range(
+    plan: &GridPlan,
+    config: &RunnerConfig,
+    workers: &mut [GridWorker],
+    r0: usize,
+    units: &[usize],
+    strata: &[u32],
+) -> Vec<Option<RunResult>> {
+    let span = strata.len();
+    assert!(span > 0, "non-empty run range required");
+    let n_units = units.len();
+    let total = span * n_units;
+    let threads = workers.len();
+    let master = SimRng::seed_from(config.base_seed);
     let slab = ResultSlab::new(plan.n_lanes * span);
     let next = AtomicUsize::new(0);
-    let generations = AtomicU64::new(0);
-    let reuses = AtomicU64::new(0);
     thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let master = master.clone();
-            let slab = &slab;
-            let next = &next;
-            let generations = &generations;
-            let reuses = &reuses;
-            let handle = scope.spawn(move || {
-                let mut worker = GridWorker::with_vr(plan, vr);
+        for worker in workers.iter_mut() {
+            let (master, slab, next) = (&master, &slab, &next);
+            handles.push(scope.spawn(move || {
                 while let Some((start, end)) = claim_chunk(next, total, threads) {
                     for item in start..end {
                         // Run-major: consecutive items sweep one run's
                         // units (group-sorted), maximizing cache hits.
-                        let (off, unit) = (item / n_units, item % n_units);
-                        let result = worker.run_unit(&master, r0 + off, unit);
+                        let (off, unit) = (item / n_units, units[item % n_units]);
+                        let result = worker.run_unit_stratum(master, r0 + off, unit, strata[off]);
                         let lanes = &plan.units[unit].lanes;
                         for &lane in &lanes[1..] {
                             // SAFETY(slab-claim-partition): this worker
@@ -1639,23 +1644,17 @@ pub(crate) fn run_pool_range(
                         unsafe { slab.put(lanes[0] * span + off, result) };
                     }
                 }
-                generations.fetch_add(worker.trace_generations, Ordering::Relaxed);
-                reuses.fetch_add(worker.trace_reuses, Ordering::Relaxed);
-            });
-            handles.push(handle);
+            }));
         }
+        // Join explicitly rather than leave it to the scope: an explicit
+        // join waits for each thread to exit, so its malloc arena is free
+        // for the next pool's threads instead of a fresh one growing RSS.
         for handle in handles {
             // A worker panic is already fatal; re-raise it here. simlint: allow(no-unwrap-in-lib)
             handle.join().expect("worker panicked");
         }
     });
-
-    PoolRange {
-        slots: slab.into_results(),
-        trace_generations: generations.into_inner(),
-        trace_reuses: reuses.into_inner(),
-        threads,
-    }
+    slab.into_results()
 }
 
 /// One lane's running CI estimator under the active VR mode.
@@ -1666,7 +1665,7 @@ pub(crate) fn run_pool_range(
 /// stratum-weighted fold. Using the crude per-run variance in those modes
 /// would overstate (antithetic) or understate (stratified) the CI and
 /// corrupt the stopping rule.
-pub(crate) enum CiTracker {
+enum CiTracker {
     /// Crude per-run variance (no VR).
     Plain(Summary),
     /// Variance over antithetic pair means.
@@ -1679,7 +1678,7 @@ pub(crate) enum CiTracker {
 }
 
 impl CiTracker {
-    pub(crate) fn new(vr: &VrConfig) -> Self {
+    fn new(vr: &VrConfig) -> Self {
         match (vr.antithetic, vr.strata) {
             (false, 0) => Self::Plain(Summary::new()),
             (true, 0) => Self::Paired(PairedSummary::new()),
@@ -1691,7 +1690,7 @@ impl CiTracker {
     /// Adds one per-run observation. Callers push in ascending run order
     /// (the fold order), which is what makes consecutive pushes of one
     /// stratum form antithetic pairs.
-    pub(crate) fn push(&mut self, stratum: u32, x: f64) {
+    fn push(&mut self, stratum: u32, x: f64) {
         match self {
             Self::Plain(s) => s.push(x),
             Self::Paired(p) => p.push(x),
@@ -1739,7 +1738,7 @@ impl CiTracker {
 
     /// Relative CI half-width (`half_width / |mean|`), 0 when not yet
     /// statable or degenerate.
-    pub(crate) fn rel_ci(&self, confidence: f64) -> f64 {
+    fn rel_ci(&self, confidence: f64) -> f64 {
         let m = self.mean().abs();
         match self.half_width(confidence) {
             Some(hw) if m > 0.0 => hw / m,
@@ -1794,8 +1793,9 @@ fn batch_schedule(
     }
 }
 
-/// The variance-reduced simulation pool: the same claim/slab/fold
-/// skeleton as [`run_grid_simulated`], executed in sequential batches.
+/// Adaptive (sequential, CI-driven) run allocation: the fixed-run pool
+/// executed in batches, with per-cell stopping and a Neyman stratum
+/// schedule fed back from the fold between batches.
 ///
 /// **Determinism.** Within a batch, every `(run, unit)` item is
 /// deterministic in `(master, run, unit, stratum)` alone, and the batch's
@@ -1812,21 +1812,18 @@ fn batch_schedule(
 /// A stopped cell's lanes stop folding; its execution units keep running
 /// only while a still-active cell shares them (unit activity is the OR
 /// of its member lanes' cells).
-fn run_grid_vr(
+fn run_grid_adaptive(
     cells: &[GridCell],
     leads: &LeadTimeModel,
     config: &RunnerConfig,
-    mut sink: Option<&mut CellSink<'_>>,
+    a: AdaptiveConfig,
 ) -> GridResult {
-    // Sinks are only sound when the whole sweep is one batch (see
-    // run_grid_with_cell_sink); adaptive mode re-batches.
-    debug_assert!(sink.is_none() || config.vr.adaptive.is_none());
     let vr = config.vr;
     let plan = GridPlan::new(cells, leads);
     let n_units = plan.units.len();
     let n_cells = cells.len();
     // Pair-align the batch geometry so antithetic pairs never straddle a
-    // batch boundary. Fixed-count VR is a single batch of `config.runs`.
+    // batch boundary.
     let align = |n: usize| -> usize {
         if vr.antithetic {
             (n.max(1) + 1) & !1
@@ -1834,16 +1831,9 @@ fn run_grid_vr(
             n.max(1)
         }
     };
-    let (batch, max_runs, confidence) = match vr.adaptive {
-        Some(a) => {
-            let batch = align(a.batch);
-            (batch, align(a.max_runs).max(batch), a.confidence)
-        }
-        None => (config.runs, config.runs, 0.95),
-    };
-
-    let threads = config.effective_threads_for(batch.min(max_runs) * n_units);
-    let master = SimRng::seed_from(config.base_seed);
+    let batch = align(a.batch);
+    let max_runs = align(a.max_runs).max(batch);
+    let mut workers = pool_workers(&plan, config, batch * n_units);
 
     // lane → cell lookup for unit-activity checks.
     let mut lane_cell = vec![0usize; plan.n_lanes];
@@ -1861,12 +1851,9 @@ fn run_grid_vr(
     // driving the next batch's Neyman schedule. Grid-level rather than
     // per-cell because a run's stratum is a property of its *shared*
     // trace — one schedule must serve every cell in the batch.
-    let mut pooled = (vr.strata > 0 && vr.adaptive.is_some())
-        .then(|| StratifiedSummary::equal_weights(vr.strata as usize));
+    let mut pooled =
+        (vr.strata > 0).then(|| StratifiedSummary::equal_weights(vr.strata as usize));
 
-    let mut workers: Vec<GridWorker> = (0..threads)
-        .map(|_| GridWorker::with_vr(&plan, vr))
-        .collect();
     let mut start = 0usize;
     while start < max_runs && cell_active.iter().any(|&a| a) {
         let n_batch = batch.min(max_runs - start);
@@ -1874,52 +1861,11 @@ fn run_grid_vr(
         let active_units: Vec<usize> = (0..n_units)
             .filter(|&u| plan.units[u].lanes.iter().any(|&l| cell_active[lane_cell[l]]))
             .collect();
-        let n_active = active_units.len();
-        let total = n_batch * n_active;
-        let slab = ResultSlab::new(plan.n_lanes * n_batch);
-        let next = AtomicUsize::new(0);
-        thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for mut worker in workers.drain(..) {
-                let master = master.clone();
-                let plan = &plan;
-                let slab = &slab;
-                let next = &next;
-                let schedule = &schedule;
-                let active_units = &active_units;
-                handles.push(scope.spawn(move || {
-                    while let Some((s, e)) = claim_chunk(next, total, threads) {
-                        for item in s..e {
-                            // Run-major within the batch, exactly like
-                            // the fixed pool.
-                            let (off, ui) = (item / n_active, item % n_active);
-                            let unit = active_units[ui];
-                            let result =
-                                worker.run_unit_stratum(&master, start + off, unit, schedule[off]);
-                            let lanes = &plan.units[unit].lanes;
-                            for &lane in &lanes[1..] {
-                                // SAFETY(slab-claim-partition): this
-                                // worker owns item (run, unit), and with
-                                // it every member lane's slot.
-                                unsafe { slab.put(lane * n_batch + off, result.clone()) };
-                            }
-                            // SAFETY(slab-claim-partition): as above.
-                            unsafe { slab.put(lanes[0] * n_batch + off, result) };
-                        }
-                    }
-                    worker
-                }));
-            }
-            for handle in handles {
-                // A worker panic is already fatal; re-raise it here. simlint: allow(no-unwrap-in-lib)
-                workers.push(handle.join().expect("worker panicked"));
-            }
-        });
+        let slots = run_pool_range(&plan, config, &mut workers, start, &active_units, &schedule);
 
         // Deterministic main-thread fold, (cell, model, run) order —
         // the only place statistics accumulate, and the only input to
         // the stopping and scheduling decisions below.
-        let slots = slab.into_results();
         for c in 0..n_cells {
             if !cell_active[c] {
                 continue;
@@ -1939,82 +1885,42 @@ fn run_grid_vr(
                     }
                 }
             }
-            if let Some(sink) = sink.as_mut() {
-                // Fixed-count VR is a single batch covering every run,
-                // so the cell is complete here (the debug_assert above
-                // rules out adaptive re-batching).
-                let lane0 = plan.lane(c, 0);
-                sink(&CellResults {
-                    cell: c,
-                    runs: n_batch,
-                    lanes: cells[c].models.len(),
-                    slots: &slots[lane0 * n_batch..(lane0 + cells[c].models.len()) * n_batch],
-                });
-            }
             cell_runs[c] += n_batch;
         }
         start += n_batch;
 
-        if let Some(a) = vr.adaptive {
-            for c in 0..n_cells {
-                if !cell_active[c] || cell_runs[c] < 2 * batch {
-                    continue;
-                }
-                let done = (0..cells[c].models.len()).all(|m| {
-                    trackers[plan.lane(c, m)].converged(a.rel_target, a.confidence)
-                });
-                if done {
-                    cell_active[c] = false;
-                }
+        for c in 0..n_cells {
+            if !cell_active[c] || cell_runs[c] < 2 * batch {
+                continue;
+            }
+            let done = (0..cells[c].models.len())
+                .all(|m| trackers[plan.lane(c, m)].converged(a.rel_target, a.confidence));
+            if done {
+                cell_active[c] = false;
             }
         }
     }
 
-    let cell_ci_rel: Vec<f64> = (0..n_cells)
-        .map(|c| {
-            (0..cells[c].models.len())
-                .map(|m| trackers[plan.lane(c, m)].rel_ci(confidence))
-                .fold(0.0, f64::max)
-        })
-        .collect();
-    let (mut generations, mut reuses) = (0u64, 0u64);
-    for w in &workers {
-        generations += w.trace_generations;
-        reuses += w.trace_reuses;
-    }
-
-    let mut agg_it = aggs.into_iter();
-    let results: Vec<CampaignResult> = cells
+    let pool = PoolStats::of(&plan, &workers);
+    let mut aggs = aggs.into_iter();
+    let folds = cells
         .iter()
-        .map(|cell| CampaignResult {
-            models: cell.models.clone(),
-            aggregates: cell
-                .models
-                .iter()
-                // Lanes are cell-major contiguous. simlint: allow(no-unwrap-in-lib)
-                .map(|_| agg_it.next().expect("one aggregate per lane"))
-                .collect(),
-            threads,
+        .enumerate()
+        .map(|(c, cell)| {
+            let campaign = CampaignResult {
+                models: cell.models.clone(),
+                // Lanes are cell-major contiguous.
+                aggregates: aggs.by_ref().take(cell.models.len()).collect(),
+                threads: pool.threads,
+            };
+            let ci = (0..cell.models.len())
+                .map(|m| trackers[plan.lane(c, m)].rel_ci(a.confidence))
+                .fold(0.0, f64::max);
+            (campaign, ci)
         })
         .collect();
-
-    GridResult {
-        runs_per_cell: cell_runs.iter().copied().max().unwrap_or(0),
-        cells: results,
-        labels: cells.iter().map(|c| c.label.clone()).collect(),
-        cell_runs,
-        cell_ci_rel,
-        threads,
-        trace_groups: plan.trace_groups(),
-        lanes: plan.lanes(),
-        units: plan.units(),
-        trace_generations: generations,
-        trace_reuses: reuses,
-        leads_digest: leads.digest(),
-        analytic_verdicts: vec![None; cells.len()],
-        cells_pruned: 0,
-        shard_meta: None,
-    }
+    let runs_per_cell = cell_runs.iter().copied().max().unwrap_or(0);
+    GridResult::assemble(cells, folds, cell_runs, runs_per_cell, pool, leads)
 }
 
 #[cfg(test)]

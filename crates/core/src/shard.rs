@@ -13,17 +13,18 @@
 //! ### Why the merge is exact
 //!
 //! Every `(lane, run)` result of the pool is deterministic in
-//! `(base_seed, vr, run, unit)` alone (see
-//! [`run_pool_range`](crate::runner)), so a child executing global runs
-//! `[r0, r1)` over a subset of cells produces bit-identical
-//! [`RunResult`]s to the same runs inside a full single-process sweep —
-//! provided the subset keeps each trace group intact (trace sharing
-//! never crosses groups) and the child rebuilds the exact same survivor
-//! cells. The planner therefore splits along two axes only: contiguous
-//! global-run ranges (antithetic pairs never straddle a boundary) and
-//! whole trace groups. Frames carry raw per-`(lane, run)` results; the
-//! coordinator replays the single-process push sequence over them, so
-//! every aggregate and CI tracker sees the identical float stream.
+//! `(base_seed, vr, run, unit)` alone (see `runner::run_pool_range`),
+//! so a child executing global runs `[r0, r1)` over a subset of cells
+//! produces bit-identical [`RunResult`]s to the same runs inside a full
+//! single-process sweep — provided the subset keeps each trace group
+//! intact (trace sharing never crosses groups) and the child rebuilds
+//! the exact same survivor cells. The planner therefore splits along
+//! two axes only: contiguous global-run ranges (antithetic pairs never
+//! straddle a boundary) and whole trace groups. Frames carry raw
+//! per-`(lane, run)` results; the coordinator feeds them to the
+//! in-process fold itself — one [`CellFold`] per cell, in the
+//! single-process push order — so every aggregate and CI tracker sees
+//! the identical float stream.
 //!
 //! ### Failure handling
 //!
@@ -48,11 +49,11 @@ use crate::frames::{
     check_seal, decode_run_result, encode_run_result, get_u16, get_u32, get_u64, put_u16, put_u32,
     put_u64, seal, FRAME_VERSION,
 };
-use crate::metrics::{Aggregate, RunResult};
+use crate::metrics::RunResult;
 use crate::prefilter::Prefilter;
 use crate::runner::{
-    fixed_stratum, rel_ci, run_pool_range, splice_pruned, vr_env_spec, CampaignResult, CiTracker,
-    GridCell, GridPlan, GridResult, RunnerConfig, ShardMeta, VrConfig,
+    run_fixed_range, splice_pruned, vr_env_spec, CellFold, GridCell, GridPlan, GridResult,
+    PoolStats, RunnerConfig, ShardMeta, VrConfig,
 };
 
 /// Frame magic: `"PKFR"` little-endian.
@@ -535,10 +536,10 @@ pub fn run_shard_child(
     let asg = splan.assignment(spec.index, &cell_groups);
     let subset: Vec<GridCell> = asg.cells.iter().map(|&c| survivors[c].clone()).collect();
     let sub_plan = GridPlan::new(&subset, leads);
-    let pool = run_pool_range(&sub_plan, config, asg.run_start, asg.run_end);
+    let (slots, pool) = run_fixed_range(&sub_plan, config, asg.run_start, asg.run_end);
 
-    let mut results = Vec::with_capacity(pool.slots.len());
-    for slot in pool.slots {
+    let mut results = Vec::with_capacity(slots.len());
+    for slot in slots {
         results.push(slot.ok_or("pool left a result slot empty")?);
     }
     let frame = ShardFrame {
@@ -703,30 +704,13 @@ fn stderr_tail(path: &PathBuf) -> String {
     }
 }
 
-/// [`run_grid`](crate::runner::run_grid) across `shards` subprocesses:
-/// plans the shard geometry, spawns one child per shard through
-/// `launcher`, folds the returned frames in single-process order, and
-/// returns a [`GridResult`] whose per-cell aggregates are bit-identical
-/// to the in-process sweep. The prefilter comes from `PCKPT_PREFILTER`,
-/// exactly like [`run_grid`](crate::runner::run_grid).
-pub fn run_grid_sharded(
-    cells: &[GridCell],
-    leads: &LeadTimeModel,
-    config: &RunnerConfig,
-    shards: usize,
-    launcher: &ShardLauncher,
-) -> Result<GridResult, String> {
-    run_grid_sharded_opts(
-        cells,
-        leads,
-        config,
-        &ShardOptions::from_env(shards),
-        launcher,
-        Prefilter::from_env().as_ref(),
-    )
-}
-
-/// [`run_grid_sharded`] with explicit coordinator options and prefilter.
+/// [`run_grid_filtered`](crate::runner::run_grid_filtered) across
+/// `opts.shards` subprocesses: plans the shard geometry, spawns one child
+/// per shard through `launcher`, folds the returned frames through
+/// [`CellFold`] in single-process order, and returns a [`GridResult`]
+/// whose per-cell aggregates are bit-identical to the in-process sweep.
+/// The caller supplies the options and the prefilter (the CLI reads
+/// them from `PCKPT_SHARD_TIMEOUT_SECS` and `PCKPT_PREFILTER`).
 ///
 /// Falls back to the in-process engine (still reporting `shard_meta`)
 /// when sharding cannot help or cannot stay exact: one shard requested,
@@ -968,12 +952,11 @@ pub fn run_grid_sharded_opts(
     Ok(splice_pruned(cells, leads, config, verdicts, Some(merged)))
 }
 
-/// Folds validated frames into a survivor-grid result by replaying the
-/// single-process push sequence: per cell, per model, ascending global
-/// run — each result fetched from its owning shard's frame. Aggregates
-/// and (under fixed VR) CI trackers therefore consume the identical
-/// float stream the in-process fold consumes, which is the whole
-/// bit-identity argument.
+/// Folds validated frames into a survivor-grid result: one [`CellFold`]
+/// per cell, fed per model in ascending global run order with each
+/// result fetched from its owning shard's frame. That is the exact push
+/// sequence of the in-process fold, which is the whole bit-identity
+/// argument.
 fn fold_frames(
     survivors: &[GridCell],
     leads: &LeadTimeModel,
@@ -984,8 +967,6 @@ fn fold_frames(
     meta: ShardMeta,
 ) -> Result<GridResult, String> {
     let runs = config.runs;
-    let vr = config.vr;
-    let vr_active = vr.is_active();
 
     // Per-frame lane bases: frame.cells is ascending global survivor
     // indices, and the child's subset plan assigns lanes in that order.
@@ -1007,17 +988,12 @@ fn fold_frames(
         frame_base.push(base);
     }
 
-    let mut aggs: Vec<Aggregate> = (0..plan.lanes()).map(|_| Aggregate::new()).collect();
-    let mut trackers: Vec<CiTracker> = if vr_active {
-        (0..plan.lanes()).map(|_| CiTracker::new(&vr)).collect()
-    } else {
-        Vec::new()
-    };
-
+    let threads = frames.iter().map(|f| f.threads as usize).max().unwrap_or(1);
+    let mut folds = Vec::with_capacity(survivors.len());
     for (c, cell) in survivors.iter().enumerate() {
         let group = plan.cell_group(c);
+        let mut fold = CellFold::new(cell, config, threads);
         for m in 0..cell.models.len() {
-            let lane = plan.lane(c, m);
             for run in 0..runs {
                 let owner = splan.owner(group, run);
                 let frame = &frames[owner];
@@ -1029,67 +1005,22 @@ fn fold_frames(
                     .results
                     .get(idx)
                     .ok_or_else(|| format!("shard {owner} frame is missing run {run}"))?;
-                aggs[lane].push(r);
-                if vr_active {
-                    trackers[lane].push(
-                        fixed_stratum(run, &vr),
-                        r.ledger.total_overhead_secs() / 3600.0,
-                    );
-                }
+                fold.push(r);
             }
         }
+        folds.push(fold.finish());
     }
 
-    let cell_ci_rel: Vec<f64> = (0..survivors.len())
-        .map(|c| {
-            (0..survivors[c].models.len())
-                .map(|m| {
-                    let lane = plan.lane(c, m);
-                    if vr_active {
-                        trackers[lane].rel_ci(0.95)
-                    } else {
-                        rel_ci(&aggs[lane].total_hours)
-                    }
-                })
-                .fold(0.0, f64::max)
-        })
-        .collect();
-    let threads = frames.iter().map(|f| f.threads as usize).max().unwrap_or(1);
-    let trace_generations = frames.iter().map(|f| f.trace_generations).sum();
-    let trace_reuses = frames.iter().map(|f| f.trace_reuses).sum();
-
-    let mut agg_it = aggs.into_iter();
-    let results: Vec<CampaignResult> = survivors
-        .iter()
-        .map(|cell| CampaignResult {
-            models: cell.models.clone(),
-            aggregates: cell
-                .models
-                .iter()
-                // Lanes are cell-major contiguous. simlint: allow(no-unwrap-in-lib)
-                .map(|_| agg_it.next().expect("one aggregate per lane"))
-                .collect(),
-            threads,
-        })
-        .collect();
-
-    Ok(GridResult {
-        cells: results,
-        labels: survivors.iter().map(|c| c.label.clone()).collect(),
-        runs_per_cell: runs,
-        cell_runs: vec![runs; survivors.len()],
-        cell_ci_rel,
+    let pool = PoolStats {
         threads,
         trace_groups: plan.trace_groups(),
-        lanes: plan.lanes(),
         units: plan.units(),
-        trace_generations,
-        trace_reuses,
-        leads_digest: leads.digest(),
-        analytic_verdicts: vec![None; survivors.len()],
-        cells_pruned: 0,
+        trace_generations: frames.iter().map(|f| f.trace_generations).sum(),
+        trace_reuses: frames.iter().map(|f| f.trace_reuses).sum(),
         shard_meta: Some(meta),
-    })
+    };
+    let cell_runs = vec![runs; survivors.len()];
+    Ok(GridResult::assemble(survivors, folds, cell_runs, runs, pool, leads))
 }
 
 #[cfg(test)]

@@ -86,7 +86,7 @@ impl CellFrame {
 ///
 /// This is the warm-path counterpart to [`CellFrame::decode`]: a fold
 /// can consume the frame one result at a time (via
-/// `pckpt_core::fold_cell_results_with`) with a single result struct
+/// `pckpt_core::CellFold`) with a single result struct
 /// live, instead of materializing `lanes × runs` of them first. The
 /// seal already guarantees the bytes are exactly what `encode` wrote,
 /// so deferring the per-result structural checks to consumption time

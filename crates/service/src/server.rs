@@ -19,6 +19,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use crate::json::escape;
 use crate::request::parse_request;
@@ -76,7 +77,9 @@ fn respond_inner(req_text: &str, service: &Service) -> Result<String, String> {
 /// have been served. Each connection carries one request line; the
 /// response is streamed back and the connection closed. Connections
 /// are handled on their own threads so identical concurrent requests
-/// actually exercise single-flight coalescing.
+/// actually exercise single-flight coalescing; each accept reaps the
+/// threads of finished connections, so a long-running daemon holds
+/// handles only for connections still in flight.
 pub fn serve_unix(
     socket_path: &Path,
     service: Arc<Service>,
@@ -93,7 +96,7 @@ pub fn serve_unix(
             Err(e) => return Err(format!("accept: {e}")),
         };
         let service = Arc::clone(&service);
-        workers.push(std::thread::spawn(move || handle(stream, &service)));
+        admit(&mut workers, std::thread::spawn(move || handle(stream, &service)));
         served += 1;
         if let Some(cap) = max_requests {
             if served >= cap {
@@ -106,6 +109,21 @@ pub fn serve_unix(
     }
     let _ = std::fs::remove_file(socket_path);
     Ok(())
+}
+
+/// Registers a new connection thread after joining and dropping the
+/// handles of every connection thread that has finished.
+fn admit(workers: &mut Vec<JoinHandle<()>>, new: JoinHandle<()>) {
+    let mut i = 0;
+    while i < workers.len() {
+        if workers[i].is_finished() {
+            // Already finished: the join returns at once.
+            let _ = workers.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+    workers.push(new);
 }
 
 fn handle(stream: UnixStream, service: &Service) {
@@ -138,4 +156,57 @@ pub fn submit_unix(socket_path: &Path, req_text: &str) -> Result<String, String>
         .read_to_string(&mut body)
         .map_err(|e| format!("recv: {e}"))?;
     Ok(body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// A connection thread that runs until `gate` fires (or its sender
+    /// is dropped), then reports on `done` just before it finishes.
+    fn connection(gate: mpsc::Receiver<()>, done: mpsc::Sender<()>) -> JoinHandle<()> {
+        std::thread::spawn(move || {
+            let _ = gate.recv();
+            let _ = done.send(());
+        })
+    }
+
+    /// Blocks until one of `workers` has finished its thread.
+    fn until_one_finished(done: &mpsc::Receiver<()>, workers: &[JoinHandle<()>]) {
+        done.recv().unwrap();
+        while !workers.iter().any(JoinHandle::is_finished) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn accept_loop_retains_only_in_flight_connections() {
+        let mut workers = Vec::new();
+        let (done_tx, done_rx) = mpsc::channel();
+        // Sequential requests: each connection finishes before the next
+        // accept, so the list never holds more than the one in flight.
+        for _ in 0..16 {
+            let (release, gate) = mpsc::channel();
+            admit(&mut workers, connection(gate, done_tx.clone()));
+            assert_eq!(workers.len(), 1, "only the new connection is in flight");
+            release.send(()).unwrap();
+            until_one_finished(&done_rx, &workers);
+        }
+        // Overlapping requests: finished ones are reaped, live ones kept.
+        let (release_a, gate_a) = mpsc::channel();
+        admit(&mut workers, connection(gate_a, done_tx.clone()));
+        let (release_b, gate_b) = mpsc::channel();
+        admit(&mut workers, connection(gate_b, done_tx.clone()));
+        assert_eq!(workers.len(), 2, "two connections in flight");
+        release_a.send(()).unwrap();
+        until_one_finished(&done_rx, &workers);
+        let (release_c, gate_c) = mpsc::channel();
+        admit(&mut workers, connection(gate_c, done_tx.clone()));
+        assert_eq!(workers.len(), 2, "the finished connection was reaped");
+        drop((release_b, release_c));
+        for w in workers {
+            w.join().unwrap();
+        }
+    }
 }

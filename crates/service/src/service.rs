@@ -19,9 +19,10 @@
 //!    per-cell reuse *sound*: a cached frame folds to the exact bytes
 //!    a fresh simulation would produce.
 //!
-//! A cell that misses all three is computed. Whatever layer a cell
-//! comes from, it is seal-checked (if read from disk) and folded
-//! exactly once, as it enters memory.
+//! A cell that misses all three is computed, and the fold the core
+//! hands its cell sink ([`pckpt_core::CellResults::folded`]) is what
+//! enters memory. Whatever layer a cell comes from, it is seal-checked
+//! (if read from disk) and folded exactly once.
 //!
 //! Adaptive-allocation campaigns (`config.vr.adaptive`) are the one
 //! shape none of this applies to: grid-pooled pilot feedback makes a
@@ -37,8 +38,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use pckpt_core::{
     campaign_fingerprints, run_grid_filtered, run_grid_with_cell_sink, splice_pruned,
-    AnalyticVerdict, CampaignResult, CellFold, Fingerprint, GridCell, GridResult, RunResult,
-    RunnerConfig,
+    AnalyticVerdict, CampaignResult, CellFold, Fingerprint, GridCell, GridResult, PoolStats,
+    RunResult, RunnerConfig,
 };
 use pckpt_failure::LeadTimeModel;
 
@@ -265,7 +266,6 @@ impl Service {
         }
 
         let config = &req.config;
-        let leads_digest = self.leads.digest();
         let verdicts: Vec<Option<AnalyticVerdict>> = match req.prefilter.as_ref() {
             Some(pf) => req.cells.iter().map(|c| pf.cell_verdict(c, &self.leads)).collect(),
             None => vec![None; req.cells.len()],
@@ -283,7 +283,7 @@ impl Service {
         };
 
         let (fps, campaign_fp) =
-            campaign_fingerprints(&survivors, leads_digest, config, req.prefilter.as_ref());
+            campaign_fingerprints(&survivors, self.leads.digest(), config, req.prefilter.as_ref());
 
         // Serialize identical concurrent campaigns on their journal.
         let lock = self.campaign_lock(campaign_fp);
@@ -400,53 +400,39 @@ impl Service {
 
         // Assemble the survivor grid from the folds, stamping this
         // request's thread count onto each cell.
-        let threads = computed_grid
-            .as_ref()
-            .map(|g| g.threads)
-            .unwrap_or_else(|| config.effective_threads_for(0));
-        let mut campaigns = Vec::with_capacity(survivors.len());
-        let mut cell_ci_rel = Vec::with_capacity(survivors.len());
-        for (i, folded) in resolved.iter().enumerate() {
-            let (campaign, ci) = folded
-                .as_deref()
-                .ok_or_else(|| format!("cell {i} unresolved after compute/wait"))?;
-            campaigns.push(CampaignResult {
-                threads,
-                ..campaign.clone()
-            });
-            cell_ci_rel.push(*ci);
-        }
-
-        let simulated = if survivors.is_empty() {
-            None
-        } else {
-            let lanes: usize = survivors.iter().map(|c| c.models.len()).sum();
-            Some(GridResult {
-                cells: campaigns,
-                labels: survivors.iter().map(|c| c.label.clone()).collect(),
-                runs_per_cell: config.runs,
-                cell_runs: vec![config.runs; survivors.len()],
-                cell_ci_rel,
-                threads,
-                trace_groups: computed_grid.as_ref().map_or(0, |g| g.trace_groups),
-                lanes,
-                units: computed_grid.as_ref().map_or(0, |g| g.units),
-                trace_generations: computed_grid.as_ref().map_or(0, |g| g.trace_generations),
-                trace_reuses: computed_grid.as_ref().map_or(0, |g| g.trace_reuses),
-                leads_digest,
-                analytic_verdicts: vec![None; survivors.len()],
-                cells_pruned: 0,
-                shard_meta: computed_grid.as_ref().and_then(|g| g.shard_meta),
+        let pool = computed_grid.as_ref().map_or_else(
+            || PoolStats {
+                threads: config.effective_threads_for(0),
+                ..PoolStats::default()
+            },
+            PoolStats::from,
+        );
+        let folds = resolved
+            .iter()
+            .enumerate()
+            .map(|(i, folded)| {
+                let (campaign, ci) = folded
+                    .as_deref()
+                    .ok_or_else(|| format!("cell {i} unresolved after compute/wait"))?;
+                let campaign = CampaignResult {
+                    threads: pool.threads,
+                    ..campaign.clone()
+                };
+                Ok((campaign, *ci))
             })
-        };
+            .collect::<Result<Vec<_>, String>>()?;
+        let simulated = (!survivors.is_empty()).then(|| {
+            let cell_runs = vec![config.runs; survivors.len()];
+            GridResult::assemble(&survivors, folds, cell_runs, config.runs, pool, &self.leads)
+        });
 
         let grid = splice_pruned(&req.cells, &self.leads, config, verdicts, simulated);
         Ok(ServiceOutcome { grid, meta })
     }
 
     /// Runs the `indices` subset of `survivors` as one pooled grid,
-    /// journaling, caching, folding and publishing each cell as it
-    /// completes.
+    /// journaling, caching and publishing each cell's fold as the core
+    /// finishes it.
     #[allow(clippy::too_many_arguments)]
     fn compute_batch(
         &self,
@@ -491,11 +477,7 @@ impl Service {
                 sink_err = Some(e);
                 return;
             }
-            let mut fold = CellFold::new(&survivors[survivor_idx], config, 0);
-            for r in cr.iter() {
-                fold.push(r);
-            }
-            let folded = Arc::new(fold.finish());
+            let folded = Arc::new(cr.folded().clone());
             self.flight.publish(fp.as_u128(), Arc::clone(&folded));
             guard.published(fp.as_u128());
             resolved[survivor_idx] = Some(folded);

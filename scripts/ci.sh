@@ -27,8 +27,9 @@
 #   7. variance reduction     KS marginal-preservation proptests for the
 #                             antithetic reflection, stratified fold
 #                             consistency, VR/adaptive thread-count
-#                             invariance, the adaptive-grid golden
-#                             digest, and the VR-on zero-allocation gate
+#                             invariance, the adaptive-grid and
+#                             fixed-count VR grid golden digests, and
+#                             the VR-on zero-allocation gate
 #   8. shard scale-out        cross-process equivalence (sharded merges
 #                             bit-identical to single-process sweeps,
 #                             incl. VR and prefilter modes), the sharded
@@ -41,52 +42,62 @@
 #                             plus the service crate's unit tests
 #                             (cell-frame codec, journal, cache,
 #                             single-flight primitives)
+#  10. benchmark self-test   python3 perfbench/run.py --self-test: builds
+#                             perfbench and pckptd (into .bench_build) and
+#                             runs every BENCHMARK.json workload for 1 s,
+#                             traced and untraced, with its in-bench
+#                             digest checks — the only stage that builds
+#                             perfbench/ against the library APIs
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==== [1/9] tier-1 gate (scripts/lint.sh) ===="
+echo "==== [1/10] tier-1 gate (scripts/lint.sh) ===="
 scripts/lint.sh
 
 echo
-echo "==== [2/9] workspace tests ===="
+echo "==== [2/10] workspace tests ===="
 cargo test -q --workspace
 
 echo
-echo "==== [3/9] examples build ===="
+echo "==== [3/10] examples build ===="
 cargo build -q --examples
 
 echo
-echo "==== [4/9] trace-feature tests ===="
+echo "==== [4/10] trace-feature tests ===="
 cargo test -q --features trace
 
 echo
-echo "==== [5/9] analytic tier: batch + prefilter equivalence ===="
+echo "==== [5/10] analytic tier: batch + prefilter equivalence ===="
 cargo test -q -p pckpt-analysis --test batch_equivalence
 cargo test -q --test grid_equivalence
 
 echo
-echo "==== [6/9] schedcheck exhaustive + simlint fixtures ===="
+echo "==== [6/10] schedcheck exhaustive + simlint fixtures ===="
 cargo test -q -p schedcheck
 cargo test -q -p simlint
 
 echo
-echo "==== [7/9] variance reduction: marginals, folds, determinism ===="
+echo "==== [7/10] variance reduction: marginals, folds, determinism ===="
 cargo test -q --test variance_reduction
-cargo test -q --test trace_determinism adaptive_grid
+cargo test -q --test trace_determinism -- adaptive_grid vr_fixed_grid
 cargo test -q -p pckpt-core --test alloc_free
 
 echo
-echo "==== [8/9] shard scale-out: equivalence + fault injection ===="
+echo "==== [8/10] shard scale-out: equivalence + fault injection ===="
 cargo test -q --test grid_equivalence sharded
 cargo test -q --test trace_determinism sharded_grid
 cargo test -q --test shard_faults
 
 echo
-echo "==== [9/9] campaign service: cache, single-flight, crash/resume ===="
+echo "==== [9/10] campaign service: cache, single-flight, crash/resume ===="
 cargo test -q --test service_suite
 cargo test -q -p pckpt-service
+
+echo
+echo "==== [10/10] benchmark self-test: perfbench builds and checks its digests ===="
+python3 perfbench/run.py --self-test
 
 echo
 echo "ci.sh: all stages passed"

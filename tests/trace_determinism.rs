@@ -252,6 +252,66 @@ fn adaptive_grid_digest_matches_golden_with_and_without_trace() {
     );
 }
 
+/// Golden digest of the 3-cell grid above at a fixed 24 runs under
+/// `antithetic + stratified:4`, in the `shard_common::grid_digest`
+/// format (per-lane aggregate bits plus each cell's attained relative
+/// CI). The CI comes from the paired-within-strata tracker, so this
+/// pins the fixed-count VR fold itself, not only its agreement across
+/// threads and shards.
+const GOLDEN_VR_FIXED_DIGEST: &str = "XGC@1.5/B:4011b6bf067d724d-40019f81d4a09ce9-40017f8c9a6bb02f-0000000000000000-40513fffffffffff;\
+     XGC@1.5/P2:3ff7390d0f8dc4eb-3feee6d8fe0280a4-3fde658343683249-3feca81e9131abed-4050c00000000002;\
+     ci[0]=3fc7cfc20be3a9f9;\
+     XGC@1/B:4011b6bf067d724d-40019f81d4a09ce9-40017f8c9a6bb02f-0000000000000000-40513fffffffffff;\
+     XGC@1/P2:3ffb48bb997040f6-3ff278c221cf5904-3fe13f5cb2c02d46-3fec2dd9ca81e910-4050c00000000002;\
+     ci[1]=3fbc809e05f27c4d;\
+     XGC@0.5/B:4011b6bf067d724d-40019f81d4a09ce9-40017f8c9a6bb02f-0000000000000000-40513fffffffffff;\
+     XGC@0.5/P2:4002cf84c99afadc-3ff88b9e8d7f9388-3fe99cccc828bcb4-3fe9696969696965-4051000000000002;\
+     ci[2]=3fc15f600a27e690;";
+
+fn vr_fixed_config(threads: usize) -> RunnerConfig {
+    let mut cfg = RunnerConfig::new(24, 61);
+    cfg.threads = threads;
+    cfg.vr = pckpt::core::VrConfig {
+        antithetic: true,
+        strata: 4,
+        adaptive: None,
+    };
+    cfg
+}
+
+#[test]
+fn vr_fixed_grid_digest_matches_golden() {
+    use pckpt::core::{run_grid_sharded_opts, ShardOptions};
+    let recipe = "golden|XGC|1.5,1,0.5|B,P2";
+    let cells = shard_common::cells_from_recipe(recipe).unwrap();
+    let leads = LeadTimeModel::desh_default();
+    let launcher = shard_common::launcher_for("shard_child_entry", recipe);
+    for threads in [1, 3] {
+        let cfg = vr_fixed_config(threads);
+        let in_process = shard_common::grid_digest(&run_grid(&cells, &leads, &cfg));
+        println!("vr fixed grid digest ({threads} threads): {in_process}");
+        assert_eq!(
+            in_process, GOLDEN_VR_FIXED_DIGEST,
+            "in-process VR grid digest drifted at {threads} threads"
+        );
+        let sharded = run_grid_sharded_opts(
+            &cells,
+            &leads,
+            &cfg,
+            &ShardOptions::new(2),
+            &launcher,
+            None,
+        )
+        .expect("sharded VR grid");
+        assert_eq!(sharded.shard_meta.expect("sharded meta").shards, 2);
+        assert_eq!(
+            shard_common::grid_digest(&sharded),
+            GOLDEN_VR_FIXED_DIGEST,
+            "2-shard VR grid digest drifted at {threads} threads"
+        );
+    }
+}
+
 #[cfg(not(feature = "trace"))]
 mod trace_off {
     use super::*;
