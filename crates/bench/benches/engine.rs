@@ -1,5 +1,5 @@
 //! Criterion benchmarks of the simulation substrate: event queue
-//! throughput, process-world scheduling, and fluid-flow link churn.
+//! throughput, engine dispatch, and fluid-flow link churn.
 //!
 //! These establish that the DES engine is fast enough for the paper's
 //! 1000-run Monte-Carlo campaigns (one CHIMERA run handles a few thousand
@@ -8,7 +8,6 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use pckpt_desim::process::{ProcCtx, Process, ProcessWorld, Step, Wake};
 use pckpt_desim::{
     Ctx, EventQueue, FlowLink, Model, ReferenceFlowLink, SimDuration, SimTime, Simulation,
 };
@@ -81,34 +80,6 @@ fn bench_engine_dispatch(c: &mut Criterion) {
     });
 }
 
-struct Sleeper {
-    naps: u32,
-}
-
-impl Process<()> for Sleeper {
-    fn resume(&mut self, _s: &mut (), _ctx: &mut ProcCtx<()>, _w: Wake) -> Step {
-        if self.naps == 0 {
-            return Step::Done;
-        }
-        self.naps -= 1;
-        Step::Sleep(SimDuration::from_nanos(10))
-    }
-}
-
-fn bench_process_world(c: &mut Criterion) {
-    c.bench_function("process_world_100_procs_1k_naps", |b| {
-        b.iter(|| {
-            let mut world = ProcessWorld::new(());
-            for _ in 0..100 {
-                world.spawn(Box::new(Sleeper { naps: 1_000 }));
-            }
-            let mut sim = Simulation::new(world);
-            sim.run();
-            black_box(sim.events_handled())
-        })
-    });
-}
-
 /// The churn driver shared by the virtual-time and reference links: load
 /// the link with 1000 *concurrent* flows of staggered sizes, then for
 /// each completion immediately start a replacement, until 1000 flows
@@ -159,7 +130,6 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_engine_dispatch,
-    bench_process_world,
     bench_flow_link
 );
 criterion_main!(benches);

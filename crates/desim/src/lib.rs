@@ -1,27 +1,19 @@
 //! `pckpt-desim` — a discrete-event simulation engine.
 //!
-//! The paper evaluates its C/R models with SimPy, a process-based
-//! discrete-event simulation framework. This crate is the Rust substrate
-//! playing that role. It provides two complementary programming models:
+//! The paper evaluates its C/R models with SimPy. This crate is the Rust
+//! substrate playing that role, in event-driven form: a model implements
+//! [`engine::Model`] and handles typed events popped from a cancellable
+//! priority queue ([`queue`]). Coordination protocols with aborts (live
+//! migration cancelled by a higher-priority prediction) map naturally onto
+//! explicit state machines plus event cancellation.
 //!
-//! 1. **Event-driven** ([`engine`], [`queue`]): a model implements
-//!    [`engine::Model`] and handles typed events popped from a cancellable
-//!    priority queue. This is the style the p-ckpt C/R simulator uses —
-//!    coordination protocols with aborts (live migration cancelled by a
-//!    higher-priority prediction) map naturally onto explicit state
-//!    machines plus event cancellation.
-//! 2. **Process-based** ([`process`], [`resource`]): SimPy-flavored
-//!    cooperative processes that `sleep`, wait on [`process::SignalId`]s,
-//!    acquire prioritized [`resource::Resource`] slots, and can be
-//!    interrupted. Processes are poll-style state machines (stable Rust has
-//!    no coroutines), resumed with a [`process::Wake`] describing why they
-//!    ran.
-//!
-//! On top of both sits [`flow`], a fluid-flow model of shared links:
+//! Alongside the engine sits [`flow`], a fluid-flow model of shared links:
 //! concurrent transfers progress simultaneously at a fair share of a
 //! (possibly load-dependent) capacity, which is how the PFS and burst
 //! buffer bandwidth contention of the paper's I/O model is simulated
-//! without simulating individual I/O requests.
+//! without simulating individual I/O requests. [`ReferenceFlowLink`] is
+//! the straightforward implementation the optimized link is tested
+//! against.
 //!
 //! Determinism: ties in event time are broken by schedule order (a
 //! monotone sequence number), so a simulation is a pure function of its
@@ -32,22 +24,17 @@
 pub mod audit;
 pub mod engine;
 pub mod flow;
-pub mod monitor;
-pub mod process;
 pub mod queue;
-pub mod resource;
 pub mod smallmap;
-pub mod store;
 pub mod time;
 
 pub use engine::{run_with_queue, Ctx, Model, Simulation};
 pub use flow::{FlowLink, TransferId};
 pub use flow::reference::ReferenceFlowLink;
-pub use monitor::{Counter, TimeSeries, TimeWeighted};
 pub use queue::{EventId, EventQueue};
 pub use smallmap::SmallMap;
 pub use time::{SimDuration, SimTime};
 
 /// Re-export of the structured observability layer threaded through the
-/// engine, queue, flow link, and process world (see `pckpt-simobs`).
+/// engine, queue and flow link (see `pckpt-simobs`).
 pub use pckpt_simobs as obs;

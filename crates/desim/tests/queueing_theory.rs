@@ -4,11 +4,51 @@
 //! queue's simulated statistics must match the analytic formulas
 //! (utilization ρ, mean number in system ρ/(1−ρ), mean sojourn time
 //! 1/(μ−λ) by Little's law). This exercises the engine loop, the event
-//! queue, and the time-weighted monitor together under heavy event
-//! churn, with an independent ground truth.
+//! queue, and a time-weighted average together under heavy event churn,
+//! with an independent ground truth.
 
-use pckpt_desim::{Ctx, Model, SimDuration, SimTime, Simulation, TimeWeighted};
+use pckpt_desim::{Ctx, Model, SimDuration, SimTime, Simulation};
 use pckpt_simrng::{Distribution, Exponential, SimRng};
+
+/// Time-weighted mean of a piecewise-constant signal (customers in
+/// system, server busy).
+#[derive(Debug, Clone)]
+struct TimeWeighted {
+    value: f64,
+    last_change: SimTime,
+    weighted_sum: f64,
+    observed: SimDuration,
+}
+
+impl TimeWeighted {
+    fn new(initial: f64) -> Self {
+        Self {
+            value: initial,
+            last_change: SimTime::ZERO,
+            weighted_sum: 0.0,
+            observed: SimDuration::ZERO,
+        }
+    }
+
+    /// Records that the signal changed to `value` at time `now`.
+    fn set(&mut self, now: SimTime, value: f64) {
+        let dt = now.since(self.last_change);
+        self.weighted_sum += self.value * dt.as_secs();
+        self.observed += dt;
+        self.last_change = now;
+        self.value = value;
+    }
+
+    /// Time-weighted mean over `[0, now]`.
+    fn mean(&self, now: SimTime) -> f64 {
+        let dt = now.since(self.last_change);
+        let total = self.observed + dt;
+        if total.is_zero() {
+            return self.value;
+        }
+        (self.weighted_sum + self.value * dt.as_secs()) / total.as_secs()
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
@@ -146,4 +186,21 @@ fn mm1_empty_system_fraction() {
     let (lambda, mu) = (0.3, 1.0);
     let (util, _, _, _) = simulate(lambda, mu, 150_000, 5);
     assert!((1.0 - util - 0.7).abs() < 0.01);
+}
+
+#[test]
+fn time_weighted_mean_of_step_signal() {
+    let t = SimTime::from_secs;
+    let mut w = TimeWeighted::new(0.0);
+    // 0 for 10 s, 4 for 10 s, then 2: the mean over [0, 30] is
+    // (0·10 + 4·10 + 2·10) / 30 = 2.
+    w.set(t(10.0), 4.0);
+    w.set(t(20.0), 2.0);
+    assert!((w.mean(t(30.0)) - 2.0).abs() < 1e-12);
+}
+
+#[test]
+fn time_weighted_mean_at_zero_observation() {
+    let w = TimeWeighted::new(7.0);
+    assert_eq!(w.mean(SimTime::ZERO), 7.0);
 }

@@ -5,6 +5,14 @@
 //! It accepts the JSON the service documents (objects, arrays, strings,
 //! numbers, booleans, null; `\uXXXX` escapes limited to the BMP) and
 //! keeps object members in document order, so parsing is deterministic.
+//! Hostile input costs at most linear time and bounded stack: strings
+//! are copied a run at a time, and nesting deeper than `MAX_DEPTH` is
+//! an error rather than a stack overflow.
+
+/// Deepest array/object nesting a document may have. Requests nest two
+/// levels; the cap exists so a line of `[`s is an `Err`, not a crashed
+/// daemon.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +90,7 @@ impl Json {
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -105,11 +113,15 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value nested inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -178,19 +190,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (requests are valid UTF-8:
-                // they arrive as &str).
+                // Copy the unescaped run up to the next quote or
+                // backslash in one step. Both are ASCII, so the run ends
+                // on a char boundary, and each byte is validated once.
                 let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                let ch = s.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                let run = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(rest.len());
+                out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+                *pos += run;
             }
         }
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -199,7 +214,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -212,7 +227,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -225,7 +240,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -281,6 +296,35 @@ mod tests {
         for bad in ["{", "[1,", "{\"a\" 1}", "tru", "{\"a\":1}x", "\"\\q\"", "1.2.3"] {
             assert!(parse(bad).is_err(), "{bad:?} parsed");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let nested = |n: usize| {
+                let close = if open == "[" { "]" } else { "}" };
+                format!("{}1{}", open.repeat(n), close.repeat(n))
+            };
+            assert!(
+                parse(&nested(MAX_DEPTH)).is_ok(),
+                "{open} x MAX_DEPTH rejected"
+            );
+            let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("nesting"), "{err}");
+            assert!(parse(&open.repeat(200_000)).is_err());
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MB of plain characters plus a multi-byte scalar and two
+        // escapes: a per-character rescan of the rest of the input would
+        // take minutes here.
+        let body = "a".repeat(4 << 20);
+        let v = parse(&format!("{{\"name\":\"{body}λ\\u00e9\\n\"}}")).unwrap();
+        let name = v.get("name").and_then(Json::as_str).unwrap();
+        assert_eq!(name.len(), body.len() + "λé\n".len());
+        assert!(name.starts_with(&body) && name.ends_with("λé\n"));
     }
 
     #[test]

@@ -66,6 +66,22 @@ fn str_list(doc: &Json, plural: &str, singular: &str) -> Result<Vec<String>, Str
     Ok(Vec::new())
 }
 
+/// A request's prefilter spec: `analytic` or `analytic:<margin>`.
+/// [`Prefilter::parse`] panics on a malformed spec, which suits its
+/// environment variable but would let one request crash the daemon, so
+/// requests get this non-panicking reading of the same grammar.
+fn prefilter_spec(spec: &str) -> Result<Prefilter, String> {
+    let margin = match spec.trim().strip_prefix("analytic") {
+        Some("") => return Ok(Prefilter::default()),
+        Some(rest) => rest.strip_prefix(':').and_then(|m| m.trim().parse::<f64>().ok()),
+        None => None,
+    };
+    match margin {
+        Some(m) if m.is_finite() && m >= 0.0 => Ok(Prefilter::new(m)),
+        _ => Err(format!("unknown prefilter spec '{spec}'")),
+    }
+}
+
 /// Parses and validates one request document.
 pub fn parse_request(text: &str) -> Result<CampaignRequest, String> {
     let doc = parse(text)?;
@@ -116,6 +132,9 @@ pub fn parse_request(text: &str) -> Result<CampaignRequest, String> {
         None => None,
     };
     let fn_rate = doc.get("fn_rate").and_then(Json::as_f64);
+    if fn_rate.is_some_and(|r| !(0.0..=1.0).contains(&r)) {
+        return Err("'fn_rate' must be in [0, 1]".into());
+    }
     let lm_alpha = doc.get("lm_alpha").and_then(Json::as_f64);
 
     let runs = doc.get("runs").and_then(Json::as_u64).unwrap_or(20) as usize;
@@ -133,9 +152,7 @@ pub fn parse_request(text: &str) -> Result<CampaignRequest, String> {
     }
 
     let prefilter = match doc.get("prefilter").and_then(Json::as_str) {
-        Some(spec) => Some(
-            Prefilter::parse(spec).ok_or_else(|| format!("unknown prefilter spec '{spec}'"))?,
-        ),
+        Some(spec) => Some(prefilter_spec(spec)?),
         None => None,
     };
 
@@ -210,9 +227,79 @@ mod tests {
             r#"{"app":"XGC","scales":[-1.0]}"#,
             r#"{"app":"XGC","vr":"bogus"}"#,
             r#"{"app":"XGC","dist":"marsrover"}"#,
+            r#"{"app":"XGC","prefilter":"bogus"}"#,
+            r#"{"app":"XGC","prefilter":"analytic:-1"}"#,
+            r#"{"app":"XGC","prefilter":"analytic:x"}"#,
+            r#"{"app":"XGC","fn_rate":2}"#,
             r#"not json"#,
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?} accepted");
+        }
+    }
+
+    /// A valid request exercising every field the decoder reads.
+    const VALID: &str = r#"{"name":"fig4","apps":["XGC","POP"],"scales":[1.5,0.5],"models":["B","M2"],"runs":6,"seed":61,"vr":"stratified:4","prefilter":"analytic:0.2","dist":"titan","fn_rate":0.15,"lm_alpha":1.0,"threads":1}"#;
+
+    /// Applies `(op, at, len)` edits to ASCII `text`: 0 truncates at
+    /// `at`, 1 duplicates `len` bytes at `at`, 2 splices in one of the
+    /// structural characters `[{"\`.
+    fn mutate(text: &str, edits: &[(u8, usize, usize)]) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        for &(op, at, len) in edits {
+            let at = at % (bytes.len() + 1);
+            match op {
+                0 => bytes.truncate(at),
+                1 => {
+                    let end = (at + len).min(bytes.len());
+                    let copy = bytes[at..end].to_vec();
+                    bytes.splice(at..at, copy);
+                }
+                _ => bytes.insert(at, b"[{\"\\"[len % 4]),
+            }
+        }
+        String::from_utf8(bytes).expect("edits keep ASCII text ASCII")
+    }
+
+    #[test]
+    fn mutation_seed_is_valid() {
+        assert_eq!(parse_request(VALID).unwrap().cells.len(), 4);
+    }
+
+    #[test]
+    fn hostile_fixed_inputs_are_errors() {
+        let deep = format!(r#"{{"app":"XGC","x":{}}}"#, "[".repeat(200_000));
+        assert!(parse_request(&deep).is_err());
+        let deep_obj = format!(r#"{{"app":"XGC","x":{}}}"#, r#"{"a":"#.repeat(100_000));
+        assert!(parse_request(&deep_obj).is_err());
+        let long = format!(r#"{{"name":"{}","app":"XGC"}}"#, "n".repeat(4 << 20));
+        assert_eq!(parse_request(&long).unwrap().name.len(), 4 << 20);
+    }
+
+    proptest::proptest! {
+        // Decoding is microseconds: afford enough cases that a mutation
+        // reliably lands inside each field's value.
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1024))]
+
+        /// Arbitrary printable text never panics the decoder.
+        #[test]
+        fn printable_strings_never_panic(
+            chars in proptest::collection::vec(0x20u32..0x80, 0..256),
+        ) {
+            // 0x7f stands in for a multi-byte scalar.
+            let text: String = chars
+                .iter()
+                .map(|&c| if c == 0x7f { 'λ' } else { char::from_u32(c).unwrap() })
+                .collect();
+            let _ = parse_request(&text);
+        }
+
+        /// Truncated, duplicated and spliced copies of a valid request
+        /// never panic the decoder.
+        #[test]
+        fn mutated_requests_never_panic(
+            edits in proptest::collection::vec((0u8..3, 0usize..1024, 0usize..64), 1..6),
+        ) {
+            let _ = parse_request(&mutate(VALID, &edits));
         }
     }
 }

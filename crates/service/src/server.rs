@@ -2,7 +2,8 @@
 //! the in-process `respond` entry the CLI's `once` mode shares.
 //!
 //! Request: one JSON document (see [`crate::request`]) terminated by a
-//! newline or EOF. Response, line by line:
+//! newline or EOF, at most `MAX_REQUEST_BYTES` long. Response, line by
+//! line:
 //!
 //! ```text
 //! CELL_JSON {...}      one per input cell, input order
@@ -25,6 +26,11 @@ use crate::json::escape;
 use crate::request::parse_request;
 use crate::service::Service;
 use crate::grid_digest;
+
+/// Longest request line a connection may send, newline excluded. Real
+/// requests are well under 1 KB; a longer line is answered with `ERR`
+/// after reading at most one byte past the cap.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Serves one request text, in-process.
 pub fn respond(req_text: &str, service: &Service) -> String {
@@ -127,13 +133,17 @@ fn admit(workers: &mut Vec<JoinHandle<()>>, new: JoinHandle<()>) {
 }
 
 fn handle(stream: UnixStream, service: &Service) {
-    let mut reader = BufReader::new(&stream);
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() || line.trim().is_empty() {
-        let _ = (&stream).write_all(b"ERR empty request\n");
-        return;
-    }
-    let body = respond(line.trim(), service);
+    let mut reader = BufReader::new((&stream).take(MAX_REQUEST_BYTES as u64 + 1));
+    let mut line = Vec::new();
+    let read = reader.read_until(b'\n', &mut line);
+    let body = if line.strip_suffix(b"\n").unwrap_or(&line).len() > MAX_REQUEST_BYTES {
+        format!("ERR request exceeds {MAX_REQUEST_BYTES} bytes\n")
+    } else {
+        match (read, std::str::from_utf8(&line)) {
+            (Ok(_), Ok(text)) if !text.trim().is_empty() => respond(text.trim(), service),
+            _ => "ERR empty request\n".to_string(),
+        }
+    };
     let _ = (&stream).write_all(body.as_bytes());
     let _ = (&stream).flush();
 }
@@ -178,6 +188,42 @@ mod tests {
         while !workers.iter().any(JoinHandle::is_finished) {
             std::thread::yield_now();
         }
+    }
+
+    /// Sends `request` over a socket pair to `handle` and returns the
+    /// reply.
+    fn exchange(request: Vec<u8>) -> String {
+        let service = Service::open(crate::ServiceConfig::in_dirs(None, None)).unwrap();
+        let (client, server) = UnixStream::pair().unwrap();
+        // The request outgrows the socket buffer: write it concurrently.
+        let writer = std::thread::spawn(move || {
+            (&client).write_all(&request).unwrap();
+            let _ = client.shutdown(std::net::Shutdown::Write);
+            let mut reply = String::new();
+            (&client).read_to_string(&mut reply).unwrap();
+            reply
+        });
+        handle(server, &service);
+        writer.join().unwrap()
+    }
+
+    #[test]
+    fn oversized_request_line_is_refused() {
+        let reply = exchange(vec![b'['; MAX_REQUEST_BYTES + 1]);
+        assert_eq!(
+            reply,
+            format!("ERR request exceeds {MAX_REQUEST_BYTES} bytes\n")
+        );
+        // A line exactly at the cap is read in full and reaches the
+        // decoder, which rejects this one as malformed JSON.
+        let mut at_cap = vec![b' '; MAX_REQUEST_BYTES];
+        at_cap[0] = b'{';
+        at_cap.push(b'\n');
+        let reply = exchange(at_cap);
+        assert!(
+            reply.starts_with("ERR ") && !reply.contains("exceeds"),
+            "{reply}"
+        );
     }
 
     #[test]

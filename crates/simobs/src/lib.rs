@@ -71,8 +71,6 @@ pub mod kind {
     pub const RECOVERY_DONE: u16 = 19;
     /// The application completed.
     pub const COMPLETE: u16 = 20;
-    /// A cooperative process was woken (`a` = pid).
-    pub const PROC_WAKE: u16 = 21;
 
     /// Human-readable name for a kind code.
     pub fn name(k: u16) -> &'static str {
@@ -97,7 +95,6 @@ pub mod kind {
             RECOVERY_START => "recovery_start",
             RECOVERY_DONE => "recovery_done",
             COMPLETE => "complete",
-            PROC_WAKE => "proc_wake",
             _ => "unknown",
         }
     }

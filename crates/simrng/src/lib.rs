@@ -15,14 +15,12 @@
 //! * [`stats`] — streaming summaries (Welford), quantiles, histograms and
 //!   box-plot statistics used to render the paper's figures.
 //!
-//! `rand_distr` is deliberately not used (it is not on the approved offline
-//! dependency list); the implementations here are small, and every sampler
-//! is validated against analytic moments in its unit tests.
+//! The crate has no dependencies: the implementations here are small, and
+//! every sampler is validated against analytic moments in its unit tests.
 
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod fit;
 pub mod rng;
 pub mod stats;
 
@@ -30,7 +28,6 @@ pub use dist::{
     norm_inv_cdf, normal_cdf, Deterministic, Discrete, Distribution, Empirical, Exponential,
     LogNormal, Mixture, Normal, TruncatedNormal, Uniform, Weibull,
 };
-pub use fit::{fit_weibull, WeibullFit};
 pub use rng::SimRng;
 pub use stats::{
     ks_one_sample, ks_two_sample, t_critical, BoxPlot, Histogram, KsResult, PairedSummary,

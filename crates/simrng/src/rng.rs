@@ -9,15 +9,13 @@
 //!   seed into the 256-bit state of the main generator and to derive child
 //!   seeds.
 //! * [`SimRng`] — xoshiro256++, a fast, high-quality non-cryptographic
-//!   generator. It implements [`rand::RngCore`] so the `rand` adaptor
-//!   ecosystem works on top of it.
+//!   generator, plus the uniform, bounded-integer and Bernoulli draws
+//!   the samplers build on.
 //!
 //! Both algorithms are public-domain (Blackman & Vigna). We implement them
-//! rather than rely on `rand`'s `StdRng` because `StdRng`'s algorithm is
-//! explicitly *not* guaranteed stable across `rand` releases, which would
-//! silently change every experiment in this repository.
-
-use rand::{Error, RngCore, SeedableRng};
+//! rather than rely on an external generator whose algorithm is not
+//! guaranteed stable across releases, which would silently change every
+//! experiment in this repository.
 
 /// SplitMix64 generator used for seed expansion and stream splitting.
 ///
@@ -71,11 +69,10 @@ struct VrState {
 ///
 /// ```
 /// use pckpt_simrng::SimRng;
-/// use rand::Rng;
 ///
 /// let mut a = SimRng::seed_from(42);
 /// let mut b = SimRng::seed_from(42);
-/// assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+/// assert_eq!(a.next_raw(), b.next_raw());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
@@ -300,41 +297,6 @@ impl SimRng {
     }
 }
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_raw() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next_raw()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_raw().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_raw().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for SimRng {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        Self::seed_from(u64::from_le_bytes(seed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,21 +475,5 @@ mod tests {
             h = h.rotate_left(7) ^ rng.uniform01().to_bits();
         }
         assert_eq!(h, 0x3fe7_6835_f768_d326, "plain uniform01 stream drifted");
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = SimRng::seed_from(17);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn rngcore_adaptor_works_with_rand() {
-        use rand::Rng;
-        let mut rng = SimRng::seed_from(23);
-        let x: f64 = rng.gen_range(0.0..10.0);
-        assert!((0.0..10.0).contains(&x));
     }
 }

@@ -19,6 +19,33 @@ assert rec["count"] == 0 and not lines, "simlint findings:\n" + "\n".join(lines)
 print("simlint clean ({} files, report: target/ci/simlint-report.json)".format(rec["files"]))
 '
 
+echo "== unused manifest dependencies =="
+# A [dependencies] edge whose crate name never appears in the package's
+# own sources is dead weight in the build graph: fail on it. A package's
+# sources are its .rs files outside nested packages and build output.
+python3 -c '
+import os, re, tomllib
+manifests = ["Cargo.toml"] + sorted(
+    os.path.join("crates", d, "Cargo.toml") for d in os.listdir("crates")
+    if os.path.isfile(os.path.join("crates", d, "Cargo.toml")))
+unused = []
+for manifest in manifests:
+    root = os.path.dirname(manifest) or "."
+    deps = tomllib.load(open(manifest, "rb")).get("dependencies", {})
+    text = []
+    for d, subdirs, files in os.walk(root):
+        subdirs[:] = [s for s in subdirs if not s.startswith(".") and s != "target"
+                      and not os.path.isfile(os.path.join(d, s, "Cargo.toml"))]
+        text += [open(os.path.join(d, f)).read() for f in files if f.endswith(".rs")]
+    text = "\n".join(text)
+    for dep in deps:
+        name = dep.replace("-", "_")
+        if not re.search(r"\b" + name + r"\b", text):
+            unused.append("{}: [dependencies] {} is never named in its sources".format(manifest, dep))
+assert not unused, "unused dependencies:\n" + "\n".join(unused)
+print("manifest dependencies all used ({} manifests)".format(len(manifests)))
+'
+
 echo "== release build =="
 cargo build --release
 
