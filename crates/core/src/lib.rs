@@ -49,9 +49,7 @@ pub mod sim;
 pub mod tracer;
 
 pub use config::{ModelKind, SimParams};
-pub use fingerprint::{
-    campaign_fingerprint, campaign_fingerprints, cell_fingerprint, Canon, Fingerprint,
-};
+pub use fingerprint::{campaign_fingerprints, cell_fingerprint, Canon, Fingerprint};
 pub use metrics::{Aggregate, OverheadLedger, RunResult};
 pub use prefilter::{AnalyticVerdict, Prefilter, DEFAULT_MARGIN};
 pub use runner::{

@@ -349,13 +349,13 @@ pub fn decode_frame(bytes: &[u8]) -> Result<ShardFrame, String> {
 
 /// Digest binding a frame to one exact campaign slice: seed, runs, VR
 /// selection, prefilter spec, leads digest, every survivor cell's
-/// identity (label, models, full `Debug` parameter rendering — stable
-/// within one binary, and coordinator and children are the same binary),
-/// the shard geometry, and the shard's own assignment. Coordinator and
-/// child compute it independently from their own reconstruction; a
-/// mismatch means the child simulated a different campaign. Built on the
-/// shared [`Canon`] normal form — the same rendering the service's cell
-/// and campaign fingerprints use (`crate::fingerprint`).
+/// identity (label, models and every parameter by value, as
+/// [`Canon::push_cell`] encodes them), the shard geometry, and the
+/// shard's own assignment. Coordinator and child compute it
+/// independently from their own reconstruction; a mismatch means the
+/// child simulated a different campaign. Built on the shared [`Canon`]
+/// normal form — the same encoding the service's cell and campaign
+/// fingerprints use (`crate::fingerprint`).
 fn binding_digest(
     config: &RunnerConfig,
     leads_digest: u64,

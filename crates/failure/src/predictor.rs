@@ -106,6 +106,21 @@ impl Predictor {
     pub fn usable_lead_secs(&self, raw_lead_secs: f64) -> f64 {
         (raw_lead_secs - self.latency_secs).max(0.0)
     }
+
+    /// Hands every field to `word` as `u64` words, in declaration order
+    /// (floats by bit pattern). `Self` is destructured without
+    /// `..`, so a new field does not compile until it is listed here:
+    /// canonical fingerprints bind every field.
+    pub fn for_each_word(&self, word: &mut impl FnMut(u64)) {
+        let Self {
+            recall,
+            fp_share,
+            latency_secs,
+        } = *self;
+        for v in [recall, fp_share, latency_secs] {
+            word(v.to_bits());
+        }
+    }
 }
 
 #[cfg(test)]

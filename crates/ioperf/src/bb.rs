@@ -70,6 +70,21 @@ impl BurstBuffer {
         assert!(bytes >= 0.0, "negative read size");
         bytes / self.read_bw
     }
+
+    /// Hands every field to `word` as `u64` words, in declaration order
+    /// (floats by bit pattern). `Self` is destructured without
+    /// `..`, so a new field does not compile until it is listed here:
+    /// canonical fingerprints bind every field.
+    pub fn for_each_word(&self, word: &mut impl FnMut(u64)) {
+        let Self {
+            capacity,
+            write_bw,
+            read_bw,
+        } = *self;
+        for v in [capacity, write_bw, read_bw] {
+            word(v.to_bits());
+        }
+    }
 }
 
 #[cfg(test)]

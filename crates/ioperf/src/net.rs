@@ -60,6 +60,19 @@ impl Network {
         let levels = (nodes as f64).log2().ceil();
         levels * self.collective_hop_latency
     }
+
+    /// Hands every field to `word` as `u64` words, in declaration order
+    /// (floats by bit pattern). `Self` is destructured without
+    /// `..`, so a new field does not compile until it is listed here:
+    /// canonical fingerprints bind every field.
+    pub fn for_each_word(&self, word: &mut impl FnMut(u64)) {
+        let Self {
+            injection_bw,
+            collective_hop_latency,
+        } = *self;
+        word(injection_bw.to_bits());
+        word(collective_hop_latency.to_bits());
+    }
 }
 
 #[cfg(test)]

@@ -115,6 +115,23 @@ impl NodeIoModel {
         }
         bytes / self.optimal_bandwidth(bytes)
     }
+
+    /// Hands every field to `word` as `u64` words, in declaration order
+    /// (floats by bit pattern). `Self` is destructured without
+    /// `..`, so a new field does not compile until it is listed here:
+    /// canonical fingerprints bind every field.
+    pub fn for_each_word(&self, word: &mut impl FnMut(u64)) {
+        let Self {
+            peak_bw,
+            optimal_tasks,
+            half_saturation,
+            oversubscription_penalty,
+        } = *self;
+        word(peak_bw.to_bits());
+        word(u64::from(optimal_tasks));
+        word(half_saturation.to_bits());
+        word(oversubscription_penalty.to_bits());
+    }
 }
 
 #[cfg(test)]

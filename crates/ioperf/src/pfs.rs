@@ -133,6 +133,23 @@ impl PerfMatrix {
     pub fn sample(&self, node_idx: usize, size_idx: usize) -> f64 {
         self.bw[node_idx * self.cols() + size_idx]
     }
+
+    /// Hands every field to `word` as `u64` words, in declaration order
+    /// (floats by bit pattern; each `Vec` as its length, then its
+    /// elements). `Self` is destructured without `..`, so a new field
+    /// does not compile until it is listed here: canonical fingerprints
+    /// bind every field.
+    pub fn for_each_word(&self, word: &mut impl FnMut(u64)) {
+        let Self {
+            log_nodes,
+            log_sizes,
+            bw,
+        } = self;
+        for v in [log_nodes, log_sizes, bw] {
+            word(v.len() as u64);
+            v.iter().for_each(|x| word(x.to_bits()));
+        }
+    }
 }
 
 /// The PFS model the C/R simulations query.
@@ -263,6 +280,24 @@ impl PfsModel {
     /// fixed per-node size. See [`CapacityTable`].
     pub fn capacity_table(&self, per_node_bytes: f64, max_writers: usize) -> CapacityTable {
         CapacityTable::new(self, per_node_bytes, max_writers)
+    }
+
+    /// Hands every field to `word` as `u64` words, in declaration order
+    /// (floats by bit pattern; the whole sampled matrix, not only the
+    /// parts it was built from). `Self` is destructured without `..`, so
+    /// a new field does not compile until it is listed here: canonical
+    /// fingerprints bind every field.
+    pub fn for_each_word(&self, word: &mut impl FnMut(u64)) {
+        let Self {
+            matrix,
+            node_model,
+            ceiling,
+            contention_exponent,
+        } = self;
+        matrix.for_each_word(word);
+        node_model.for_each_word(word);
+        word(ceiling.to_bits());
+        word(contention_exponent.to_bits());
     }
 }
 

@@ -35,6 +35,12 @@ use pckpt_workloads::Application;
 
 use crate::json::{parse, Json};
 
+/// Most result slots (cells × models × runs) one request may ask for.
+/// Each slot is one `RunResult` (≈2.3 KB), so this bounds a request's
+/// result memory near 600 MB. The largest benchmark request (12 cells ×
+/// 3 models × 512 runs) needs 18,432 slots.
+const MAX_RESULT_SLOTS: usize = 1 << 18;
+
 /// A parsed, validated campaign request.
 #[derive(Debug, Clone)]
 pub struct CampaignRequest {
@@ -136,10 +142,24 @@ pub fn parse_request(text: &str) -> Result<CampaignRequest, String> {
         return Err("'fn_rate' must be in [0, 1]".into());
     }
     let lm_alpha = doc.get("lm_alpha").and_then(Json::as_f64);
+    if lm_alpha.is_some_and(|a| !(a.is_finite() && a > 0.0)) {
+        return Err("'lm_alpha' must be positive and finite".into());
+    }
 
     let runs = doc.get("runs").and_then(Json::as_u64).unwrap_or(20) as usize;
     if runs == 0 {
         return Err("'runs' must be at least 1".into());
+    }
+    let slots = apps
+        .len()
+        .saturating_mul(scales.len())
+        .saturating_mul(models.len())
+        .saturating_mul(runs);
+    if slots > MAX_RESULT_SLOTS {
+        return Err(format!(
+            "request needs {slots} result slots (cells × models × runs); \
+             at most {MAX_RESULT_SLOTS} are served"
+        ));
     }
     let seed = doc.get("seed").and_then(Json::as_u64).unwrap_or(20_220_530);
     let mut config = RunnerConfig::new(runs, seed);
@@ -231,10 +251,20 @@ mod tests {
             r#"{"app":"XGC","prefilter":"analytic:-1"}"#,
             r#"{"app":"XGC","prefilter":"analytic:x"}"#,
             r#"{"app":"XGC","fn_rate":2}"#,
+            r#"{"app":"XGC","lm_alpha":0}"#,
+            r#"{"app":"XGC","lm_alpha":-1.5}"#,
+            r#"{"app":"XGC","lm_alpha":1e999}"#,
+            r#"{"app":"XGC","runs":1000000000}"#,
+            r#"{"app":"XGC","runs":18446744073709551615}"#,
+            r#"{"apps":["XGC","POP"],"scales":[1,2,3,4],"models":["B","M1","M2","P1","P2"],"runs":10000}"#,
             r#"not json"#,
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?} accepted");
         }
+        // The largest benchmark request sits far inside the slot bound.
+        let fig4 = r#"{"apps":["CHIMERA","XGC","POP"],"scales":[1.5,1.1,0.9,0.5],
+                       "models":["B","M2","P1"],"runs":512}"#;
+        assert_eq!(parse_request(fig4).unwrap().cells.len(), 12);
     }
 
     /// A valid request exercising every field the decoder reads.

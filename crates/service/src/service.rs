@@ -180,6 +180,26 @@ fn crash_hook_after_append() {
     }
 }
 
+/// One request's handle on its campaign's journal lock. Dropping it
+/// removes the table entry when no other request holds the lock, so the
+/// table stays as small as the set of campaigns in flight.
+struct CampaignLock<'a> {
+    locks: &'a Mutex<BTreeMap<u128, Arc<Mutex<()>>>>,
+    key: u128,
+    lock: Arc<Mutex<()>>,
+}
+
+impl Drop for CampaignLock<'_> {
+    fn drop(&mut self) {
+        let mut locks = self.locks.lock().unwrap_or_else(PoisonError::into_inner);
+        // Under the table lock no request can take a new handle, so the
+        // table's reference plus this one means nobody else holds it.
+        if Arc::strong_count(&self.lock) == 2 {
+            locks.remove(&self.key);
+        }
+    }
+}
+
 /// The long-running campaign service. One instance per daemon; shared
 /// across connection threads behind an `Arc`.
 pub struct Service {
@@ -188,7 +208,8 @@ pub struct Service {
     flight: SingleFlight<Folded>,
     /// Per-campaign journal locks: identical concurrent campaigns
     /// serialize on their shared journal file; distinct campaigns
-    /// proceed in parallel.
+    /// proceed in parallel. An entry lives only while some request
+    /// holds it ([`CampaignLock`]).
     journal_locks: Mutex<BTreeMap<u128, Arc<Mutex<()>>>>,
     leads: LeadTimeModel,
 }
@@ -212,12 +233,18 @@ impl Service {
         &self.leads
     }
 
-    fn campaign_lock(&self, fp: Fingerprint) -> Arc<Mutex<()>> {
+    fn campaign_lock(&self, fp: Fingerprint) -> CampaignLock<'_> {
+        let key = fp.as_u128();
         let mut locks = self
             .journal_locks
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(locks.entry(fp.as_u128()).or_default())
+        let lock = Arc::clone(locks.entry(key).or_default());
+        CampaignLock {
+            locks: &self.journal_locks,
+            key,
+            lock,
+        }
     }
 
     /// Validates recovered/cached bytes as the frame for `cell`
@@ -286,8 +313,8 @@ impl Service {
             campaign_fingerprints(&survivors, self.leads.digest(), config, req.prefilter.as_ref());
 
         // Serialize identical concurrent campaigns on their journal.
-        let lock = self.campaign_lock(campaign_fp);
-        let _campaign = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let campaign = self.campaign_lock(campaign_fp);
+        let _held = campaign.lock.lock().unwrap_or_else(PoisonError::into_inner);
 
         // Memory tier first: a resident cell is already folded.
         let mut resolved: Vec<Option<Arc<Folded>>> =
@@ -489,5 +516,25 @@ impl Service {
         meta.computed_cells += indices.len() as u64;
         meta.journal_appended += appended;
         Ok(grid)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::parse_request;
+
+    #[test]
+    fn journal_lock_table_empties_after_each_campaign() {
+        let service = Service::open(ServiceConfig::in_dirs(None, None)).expect("open service");
+        for seed in 0..5 {
+            let req = parse_request(&format!(
+                r#"{{"app":"POP","models":["B"],"runs":1,"seed":{seed},"threads":1}}"#
+            ))
+            .expect("request parses");
+            service.execute(&req).expect("request runs");
+        }
+        let locks = service.journal_locks.lock().unwrap();
+        assert!(locks.is_empty(), "{} journal locks left behind", locks.len());
     }
 }

@@ -36,12 +36,18 @@
 #                             golden grid, and the fault-injection suite
 #                             (killed / truncated / corrupted / hung
 #                             children recover to the same digest)
-#   9. campaign service       pckptd end-to-end suite (cache replay
-#                             digest oracle, single-flight admission,
-#                             torn-journal crash/resume property test)
-#                             plus the service crate's unit tests
-#                             (cell-frame codec, journal, cache,
-#                             single-flight primitives)
+#   9. campaign service       the fingerprint gates by name: the
+#                             value-encoding-vs-Debug oracle and the
+#                             campaign form (pckpt-core --lib
+#                             fingerprint) and phrasing invariance
+#                             (service_suite phrasings_of_one_campaign);
+#                             then the pckptd end-to-end suite (cache
+#                             replay digest oracle, single-flight
+#                             admission, torn-journal crash/resume
+#                             property test) plus the service crate's
+#                             unit tests (cell-frame codec, journal,
+#                             cache, single-flight primitives, request
+#                             limits, journal-lock cleanup)
 #  10. benchmark self-test   python3 perfbench/run.py --self-test: builds
 #                             perfbench and pckptd (into .bench_build) and
 #                             runs every BENCHMARK.json workload for 1 s,
@@ -91,7 +97,9 @@ cargo test -q --test trace_determinism sharded_grid
 cargo test -q --test shard_faults
 
 echo
-echo "==== [9/10] campaign service: cache, single-flight, crash/resume ===="
+echo "==== [9/10] campaign service: fingerprints, cache, single-flight, crash/resume ===="
+cargo test -q -p pckpt-core --lib fingerprint
+cargo test -q --test service_suite phrasings_of_one_campaign
 cargo test -q --test service_suite
 cargo test -q -p pckpt-service
 

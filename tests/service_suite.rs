@@ -355,10 +355,48 @@ fn adaptive_requests_bypass_the_reuse_layers() {
 fn respond_reports_errors_without_panicking() {
     let root = scratch_root("errors");
     let service = service_in(&root);
-    for bad in ["not json", r#"{"app":"NOPE"}"#, r#"{}"#] {
+    for bad in [
+        "not json",
+        r#"{"app":"NOPE"}"#,
+        r#"{}"#,
+        r#"{"app":"XGC","lm_alpha":0}"#,
+        r#"{"app":"XGC","runs":1000000000}"#,
+    ] {
         let body = respond(bad, &service);
         assert!(body.starts_with("ERR "), "{bad:?} → {body}");
         assert!(!body.contains("OK"));
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Requests that mean the same sweep share one identity however they
+/// are phrased: key order, whitespace, `app` for a one-element `apps`
+/// and `1.50` for `1.5` all reach the same cells, so every phrasing
+/// after the first is answered from memory with the same digest.
+#[test]
+fn phrasings_of_one_campaign_share_its_fingerprints() {
+    let phrasings = [
+        r#"{"name":"phrasing","apps":["POP"],"scales":[1.5,0.5],"models":["B","P2"],"runs":4,"seed":7,"threads":1}"#,
+        r#"{"threads":1,"seed":7,"runs":4,"models":["B","P2"],"scales":[1.5,0.5],"apps":["POP"],"name":"phrasing"}"#,
+        "{ \"name\" : \"phrasing\" ,\n  \"apps\" : [ \"POP\" ] ,\t\"scales\" : [ 1.5 , 0.5 ] ,\r\n  \
+         \"models\" : [ \"B\" , \"P2\" ] , \"runs\" : 4 , \"seed\" : 7 , \"threads\" : 1 }",
+        r#"{"name":"phrasing","app":"POP","scales":[1.5,0.5],"models":["B","P2"],"runs":4,"seed":7,"threads":1}"#,
+        r#"{"name":"phrasing","apps":["POP"],"scales":[1.50,0.5],"models":["B","P2"],"runs":4,"seed":7,"threads":1}"#,
+    ];
+    let root = scratch_root("phrasing");
+    let service = service_in(&root);
+    let first = service
+        .execute(&parse_request(phrasings[0]).expect("first phrasing parses"))
+        .expect("first phrasing");
+    assert_eq!(first.meta.computed_cells, 2);
+    let golden = grid_digest(&first.grid).hex();
+    for text in &phrasings[1..] {
+        let out = service
+            .execute(&parse_request(text).expect("phrasing parses"))
+            .expect("phrasing runs");
+        assert_eq!(grid_digest(&out.grid).hex(), golden, "{text}");
+        assert_eq!(out.meta.cache_hits, 2, "{text}");
+        assert_eq!(out.meta.computed_cells, 0, "{text}");
     }
     let _ = std::fs::remove_dir_all(&root);
 }
