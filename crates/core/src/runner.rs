@@ -357,7 +357,7 @@ fn fixed_stratum(run: usize, vr: &VrConfig) -> u32 {
     (idx % vr.strata as usize) as u32
 }
 
-fn trace_config(params: &SimParams) -> TraceConfig {
+pub(crate) fn trace_config(params: &SimParams) -> TraceConfig {
     TraceConfig::new(
         params.distribution,
         params.app.nodes,

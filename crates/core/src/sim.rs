@@ -646,16 +646,30 @@ impl CrSim {
         self.seg_start = now;
     }
 
+    /// Opens a compute segment and schedules its work-threshold event.
+    ///
+    /// Invariant: at most one work-threshold event per segment. A
+    /// `CkptDue` that lands strictly before the work target leaves the
+    /// state (bumping the epoch), so the `WorkComplete` behind it could
+    /// only ever pop stale and is not scheduled. On a tie both are
+    /// scheduled, `WorkComplete` first, so FIFO order within the
+    /// timestamp still ends the run before the checkpoint. Whatever
+    /// re-enters computing (a rate change, a resume) re-decides.
     fn schedule_compute_events(&mut self, ctx: &mut Ctx<'_, Ev>) {
         debug_assert_eq!(self.state, AppState::Computing);
         self.seg_start = ctx.now();
         self.seg_rate = self.current_rate();
         let rate = self.seg_rate;
-        let to_target = (self.target - self.work_done).max(0.0) / rate;
-        ctx.schedule_in(SimDuration::from_secs(to_target), Ev::WorkComplete(self.epoch));
-        if self.next_ckpt_work < self.target {
-            let to_ckpt = (self.next_ckpt_work - self.work_done).max(0.0) / rate;
-            ctx.schedule_in(SimDuration::from_secs(to_ckpt), Ev::CkptDue(self.epoch));
+        let to_target =
+            SimDuration::from_secs((self.target - self.work_done).max(0.0) / rate);
+        let to_ckpt = (self.next_ckpt_work < self.target).then(|| {
+            SimDuration::from_secs((self.next_ckpt_work - self.work_done).max(0.0) / rate)
+        });
+        if to_ckpt.is_none_or(|d| d >= to_target) {
+            ctx.schedule_in(to_target, Ev::WorkComplete(self.epoch));
+        }
+        if let Some(d) = to_ckpt {
+            ctx.schedule_in(d, Ev::CkptDue(self.epoch));
         }
     }
 
@@ -2499,13 +2513,78 @@ mod tests {
 
     #[test]
     fn horizon_guard_panics_if_application_cannot_finish() {
-        // An empty event queue with work remaining means the model is
-        // broken; ensure the failure mode is loud. We simulate it by
-        // crafting a run whose WorkComplete would be past any failure but
-        // the budget cuts it off — instead, verify normal completion sets
-        // finished_at.
+        // An event budget far below what the run needs stops the loop
+        // with work remaining; reading the result must fail loudly.
+        let p = params(ModelKind::B, "VULCAN");
+        let mut sim = Simulation::new(CrSim::new(p, FailureTrace::default(), &leads()))
+            .with_event_budget(5);
+        sim.run();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.model().result()))
+            .expect_err("result() of an unfinished run must panic");
+        let msg = err
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(msg.contains("raise the horizon"), "unexpected panic message: {msg}");
+    }
+
+    #[test]
+    fn longest_application_completes() {
         let p = params(ModelKind::B, "VULCAN");
         let r = run(p, FailureTrace::default());
         assert!(r.wall_secs >= 720.0 * 3600.0);
+    }
+
+    /// Runs `p` over `trace` on a fresh queue; returns the result, the
+    /// number of handled events and the pending-depth high-water mark.
+    fn run_counted(p: SimParams, trace: &FailureTrace) -> (RunResult, u64, u64) {
+        use pckpt_desim::{run_with_queue, EventQueue};
+        let mut sim = CrSim::new(p, trace.clone(), &leads());
+        let mut queue = EventQueue::new();
+        let (_, handled) = run_with_queue(&mut sim, &mut queue, 10_000_000);
+        (sim.result(), handled, queue.depth_hwm() as u64)
+    }
+
+    #[test]
+    fn pending_depth_tracks_trace_events_not_checkpoints() {
+        use pckpt_simrng::SimRng;
+        for app in ["CHIMERA", "XGC", "POP"] {
+            for model in [ModelKind::B, ModelKind::M2, ModelKind::P2] {
+                for mode in [crate::iosim::PfsMode::Analytic, crate::iosim::PfsMode::Fluid] {
+                    let mut p = params(model, app);
+                    p.pfs_mode = mode;
+                    let tcfg = crate::runner::trace_config(&p);
+                    for run in 0..4 {
+                        let mut rng = SimRng::seed_from(61).split(run);
+                        let trace = FailureTrace::generate(&tcfg, &leads(), &p.predictor, &mut rng);
+                        let trace_events = trace.failures.len()
+                            + trace.failures.iter().filter(|f| f.predicted).count()
+                            + trace.false_positives.len();
+                        let (r, _, hwm) = run_counted(p.clone(), &trace);
+                        assert!(
+                            hwm <= trace_events as u64 + 4,
+                            "{app}/{model:?}/{mode:?} run {run}: depth {hwm} with \
+                             {trace_events} trace events and {} checkpoints",
+                            r.ledger.periodic_ckpts
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn failure_free_analytic_run_handles_three_events_per_checkpoint() {
+        // CkptDue, BbWriteDone and DrainDone per interval, then the one
+        // WorkComplete: no stale work-threshold event is ever popped.
+        for app in ["CHIMERA", "XGC", "POP"] {
+            for model in [ModelKind::B, ModelKind::M2, ModelKind::P2] {
+                let (r, handled, _) = run_counted(params(model, app), &FailureTrace::default());
+                let n = r.ledger.periodic_ckpts;
+                assert!(n > 0);
+                assert_eq!(handled, 3 * n + 1, "{app}/{model:?}: {n} checkpoints");
+            }
+        }
     }
 }

@@ -27,6 +27,8 @@
 //! request text canonically determines cell order — and with it the
 //! campaign fingerprint the sweep journal binds to.
 
+use std::sync::OnceLock;
+
 use pckpt_core::{
     parse_vr_spec, GridCell, ModelKind, Prefilter, RunnerConfig, SimParams,
 };
@@ -86,6 +88,13 @@ fn prefilter_spec(spec: &str) -> Result<Prefilter, String> {
         Some(m) if m.is_finite() && m >= 0.0 => Ok(Prefilter::new(m)),
         _ => Err(format!("unknown prefilter spec '{spec}'")),
     }
+}
+
+/// The host's parallelism, read once per process: the lookup reads
+/// cgroup files and would otherwise cost every request ~0.1 ms.
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Parses and validates one request document.
@@ -164,7 +173,12 @@ pub fn parse_request(text: &str) -> Result<CampaignRequest, String> {
     let seed = doc.get("seed").and_then(Json::as_u64).unwrap_or(20_220_530);
     let mut config = RunnerConfig::new(runs, seed);
     if let Some(threads) = doc.get("threads").and_then(Json::as_u64) {
-        config.threads = threads as usize;
+        // An explicit count is capped at the host's parallelism so one
+        // request cannot start an unbounded pool. The thread count never
+        // reaches a digest (the fold is lane-major at any count).
+        config.threads = usize::try_from(threads)
+            .unwrap_or(usize::MAX)
+            .min(host_parallelism());
     }
     if let Some(spec) = doc.get("vr").and_then(Json::as_str) {
         config.vr =

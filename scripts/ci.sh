@@ -13,7 +13,11 @@
 #                             nothing else catches their drift)
 #   4. cargo test --features trace
 #                             root suite again with the recorder live:
-#                             golden stream digests + on/off equivalence
+#                             golden stream digests + on/off equivalence;
+#                             then the live-stream goldens by name. They
+#                             project out events that never acted, so
+#                             they must survive schedule-only changes;
+#                             the raw stream goldens may not
 #   5. analytic tier          batch-vs-scalar bit-identity proptest and
 #                             the prefilter digest oracle (the two
 #                             equivalence contracts of the analytic
@@ -73,6 +77,7 @@ cargo build -q --examples
 echo
 echo "==== [4/10] trace-feature tests ===="
 cargo test -q --features trace
+cargo test -q --features trace --test trace_determinism live_stream
 
 echo
 echo "==== [5/10] analytic tier: batch + prefilter equivalence ===="

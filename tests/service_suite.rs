@@ -456,3 +456,29 @@ fn memory_served_response_matches_a_restart_served_one() {
     );
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn oversized_thread_requests_are_capped_at_host_parallelism() {
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let request = |threads: u64| {
+        format!(
+            r#"{{"name":"threads","apps":["XGC"],"scales":[1.0],"models":["B","P2"],
+                 "runs":4,"seed":61,"threads":{threads}}}"#
+        )
+    };
+    let huge = parse_request(&request(100_000)).expect("request parses");
+    assert!(huge.config.threads <= host, "parsed {} threads", huge.config.threads);
+    let mut digests = Vec::new();
+    for (tag, threads) in [("threads-1", 1), ("threads-huge", 100_000)] {
+        let root = scratch_root(tag);
+        let req = parse_request(&request(threads)).expect("request parses");
+        let out = service_in(&root).execute(&req).expect("request");
+        assert_eq!(out.meta.computed_cells, 1, "each request computes cold");
+        for cell in &out.grid.cells {
+            assert!(cell.threads <= host, "reported {} threads", cell.threads);
+        }
+        digests.push(grid_digest(&out.grid).hex());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+    assert_eq!(digests[0], digests[1], "thread count reached the digest");
+}

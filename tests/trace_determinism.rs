@@ -1,6 +1,6 @@
 //! Trace-determinism regression tests.
 //!
-//! Two guarantees are pinned here:
+//! Three guarantees are pinned here:
 //!
 //! 1. **On/off equivalence** — compiling the `trace` feature in or out
 //!    must not change any simulated number. The campaign digest below is
@@ -13,6 +13,10 @@
 //!    matches a committed golden, in both PFS modes. Any re-ordering of
 //!    event dispatch, flow-wave completion, or protocol phases shows up
 //!    here before it shows up in an aggregate.
+//! 3. **Live-stream stability** — the same stream with every event that
+//!    never acted projected out also matches a golden. A change that
+//!    only stops scheduling dead events moves the raw stream goldens but
+//!    must leave these unchanged.
 //!
 //! Regenerate goldens after an *intentional* semantic change with:
 //! `cargo test --test trace_determinism -- --nocapture` (the failing
@@ -332,13 +336,15 @@ mod trace_off {
 #[cfg(feature = "trace")]
 mod trace_on {
     use super::*;
-    use pckpt::core::obs::{kind, Recording, NO_PARENT};
+    use pckpt::core::obs::{kind, Record, Recording, NO_PARENT};
     use pckpt::core::record_run;
 
     /// Golden FNV digests of the structured event stream of run 0,
-    /// seed 61, XGC/P2, per PFS mode.
-    const GOLDEN_STREAM_ANALYTIC: &str = "071d2cbc81e5d175";
-    const GOLDEN_STREAM_FLUID: &str = "978dee2e3cf5bf3d";
+    /// seed 61, XGC/P2, per PFS mode. Any change to which events are
+    /// scheduled moves them, even one the live-stream goldens below
+    /// prove changes nothing that acts.
+    const GOLDEN_STREAM_ANALYTIC: &str = "1d18a3ffa502dae9";
+    const GOLDEN_STREAM_FLUID: &str = "9b5aeac747ae87b9";
 
     fn record(mode: PfsMode, seed: u64) -> Recording {
         let leads = LeadTimeModel::desh_default();
@@ -367,6 +373,81 @@ mod trace_on {
             rec.digest_hex(),
             GOLDEN_STREAM_FLUID,
             "fluid event stream drifted ({} events)",
+            rec.len()
+        );
+    }
+
+    /// Golden digests of the *live* event stream (see
+    /// [`live_stream_digest`]) of the same runs. Unlike the raw stream
+    /// goldens above, these survive schedule-only changes: an event that
+    /// is scheduled but never acts may come or go without moving them.
+    const GOLDEN_LIVE_STREAM_ANALYTIC: &str = "b8ebc6f509c592d0";
+    const GOLDEN_LIVE_STREAM_FLUID: &str = "3d40984507946b5f";
+
+    /// FNV digest of the part of a recording that did something.
+    ///
+    /// A pop that no record names as its parent handled a stale event;
+    /// it is dropped, as is every schedule of an event that never had a
+    /// live pop (stale on arrival, or still pending when the run ended),
+    /// and every cancel of such an event. The surviving event ids are
+    /// relabelled by schedule rank and `seq`/`parent` are blanked, so
+    /// only `(kind, t, a, b)` of the live records reaches the digest.
+    fn live_stream_digest(rec: &Recording) -> String {
+        use std::collections::{HashMap, HashSet};
+        let mut is_parent = vec![false; rec.len()];
+        for r in &rec.records {
+            if r.parent != NO_PARENT {
+                is_parent[r.parent as usize] = true;
+            }
+        }
+        let live_ids: HashSet<u64> = rec
+            .records
+            .iter()
+            .filter(|r| r.kind == kind::POP && is_parent[r.seq as usize])
+            .map(|r| r.a)
+            .collect();
+        let mut rank = HashMap::new();
+        for r in &rec.records {
+            if r.kind == kind::SCHED && live_ids.contains(&r.a) {
+                let next = rank.len() as u64;
+                rank.insert(r.a, next);
+            }
+        }
+        let live = Recording {
+            records: rec
+                .records
+                .iter()
+                .filter_map(|r| {
+                    let a = match r.kind {
+                        kind::POP | kind::SCHED | kind::CANCEL => *rank.get(&r.a)?,
+                        _ => r.a,
+                    };
+                    Some(Record { seq: 0, parent: NO_PARENT, a, ..*r })
+                })
+                .collect(),
+            dropped: rec.dropped,
+        };
+        live.digest_hex()
+    }
+
+    #[test]
+    fn live_stream_digest_matches_golden_analytic() {
+        let rec = record(PfsMode::Analytic, 61);
+        assert_eq!(
+            live_stream_digest(&rec),
+            GOLDEN_LIVE_STREAM_ANALYTIC,
+            "analytic live event stream drifted ({} records)",
+            rec.len()
+        );
+    }
+
+    #[test]
+    fn live_stream_digest_matches_golden_fluid() {
+        let rec = record(PfsMode::Fluid, 61);
+        assert_eq!(
+            live_stream_digest(&rec),
+            GOLDEN_LIVE_STREAM_FLUID,
+            "fluid live event stream drifted ({} records)",
             rec.len()
         );
     }
