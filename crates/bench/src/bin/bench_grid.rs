@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use pckpt_bench::{run_cells, runner, runs, seed, sweep_cell};
+use pckpt_bench::{fixed_runner, run_cells, runner, runs, seed, sweep_cell};
 use pckpt_core::{run_grid_filtered, run_models, Aggregate, ModelKind, Prefilter};
 use pckpt_failure::{FailureDistribution, LeadTimeModel};
 
@@ -53,12 +53,14 @@ fn main() {
     // Shard-child hook: when `run_grid_sharded_opts` re-invokes this binary
     // with the coordinator's environment contract, execute one shard of
     // the fig4 sweep and exit instead of benchmarking.
-    if let Some(spec) = pckpt_core::shard_spec_from_env() {
+    let settings = pckpt_bench::settings();
+    if let Some(spec) = &settings.shard {
         pckpt_core::run_shard_child(
             &fig4_shard_cells(),
             &leads,
-            &pckpt_core::shard_child_config(),
-            &spec,
+            &runner(),
+            settings.prefilter.as_ref(),
+            spec,
         )
         .expect("shard child");
         return;
@@ -288,7 +290,7 @@ fn shard_scaleout_headline(leads: &LeadTimeModel) {
 /// simulate millions of POP runs. Both sides use identical cells, seed,
 /// and primary metric.
 fn variance_reduction_headline(leads: &LeadTimeModel) {
-    use pckpt_core::{run_grid, AdaptiveConfig, RunnerConfig, VrConfig};
+    use pckpt_core::{run_grid, AdaptiveConfig, VrConfig};
 
     const TARGET: f64 = 0.01;
     const FIXED_BUDGET: usize = 512;
@@ -301,7 +303,7 @@ fn variance_reduction_headline(leads: &LeadTimeModel) {
         })
         .collect();
 
-    let fixed_cfg = RunnerConfig::new(FIXED_BUDGET, seed());
+    let fixed_cfg = fixed_runner(FIXED_BUDGET, seed());
     let started = Instant::now();
     let fixed = run_grid(&cells, leads, &fixed_cfg);
     let fixed_wall = started.elapsed().as_secs_f64();
@@ -313,7 +315,7 @@ fn variance_reduction_headline(leads: &LeadTimeModel) {
     let worst_need = (0..cells.len()).map(fixed_need).fold(0.0, f64::max);
     let fixed_provisioned = cells.len() as f64 * worst_need;
 
-    let mut vr_cfg = RunnerConfig::new(4096, seed());
+    let mut vr_cfg = fixed_runner(4096, seed());
     vr_cfg.vr = VrConfig {
         antithetic: true,
         strata: 8,
@@ -366,7 +368,7 @@ fn variance_reduction_headline(leads: &LeadTimeModel) {
         vr.cell_ci_rel.iter().map(|c| (c * 1e4).round() / 1e4).collect::<Vec<_>>(),
     );
     for (name, vrc) in strategies {
-        let mut cfg = RunnerConfig::new(FIXED_BUDGET, seed());
+        let mut cfg = fixed_runner(FIXED_BUDGET, seed());
         cfg.vr = vrc;
         let g = run_grid(&one_cell, leads, &cfg);
         let ci = g.worst_ci_rel();

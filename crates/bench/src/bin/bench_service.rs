@@ -20,8 +20,8 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use pckpt_bench::{figure_apps, runs, seed, sweep_cell};
-use pckpt_core::{run_grid_filtered, GridCell, RunnerConfig};
+use pckpt_bench::{figure_apps, fixed_runner, runs, seed, sweep_cell};
+use pckpt_core::{run_grid_filtered, GridCell};
 use pckpt_failure::{FailureDistribution, LeadTimeModel};
 use pckpt_service::{grid_digest, CampaignRequest, Service, ServiceConfig, SyncPolicy};
 
@@ -49,6 +49,7 @@ fn scratch(tag: &str) -> PathBuf {
 fn service(cache: &PathBuf, state: &PathBuf) -> Service {
     let mut cfg = ServiceConfig::in_dirs(Some(cache.clone()), Some(state.clone()));
     cfg.sync = SyncPolicy::Off; // benching compute vs replay, not fsync
+    cfg.crash_after = pckpt_bench::settings().service_crash_after;
     Service::open(cfg).expect("open service")
 }
 
@@ -57,7 +58,7 @@ fn main() {
     // pins its own budget (still `PCKPT_RUNS`-scalable for smokes).
     let budget = runs().min(1024);
     let cells = fig4_cells();
-    let config = RunnerConfig::new(budget, seed());
+    let config = fixed_runner(budget, seed());
     let req = CampaignRequest {
         name: "service_fig4".into(),
         cells: cells.clone(),

@@ -1,7 +1,8 @@
 //! Prints campaign digests (bit patterns of key aggregates) for the
 //! P2/XGC cell in both PFS modes — a manual scheduler-equivalence probe.
+use pckpt_bench::fixed_runner;
 use pckpt_core::iosim::PfsMode;
-use pckpt_core::{run_models, Aggregate, ModelKind, RunnerConfig, SimParams};
+use pckpt_core::{run_models, Aggregate, ModelKind, SimParams};
 use pckpt_failure::LeadTimeModel;
 use pckpt_workloads::Application;
 
@@ -25,7 +26,7 @@ fn main() {
             &params,
             &[ModelKind::B, ModelKind::P2],
             &leads,
-            &RunnerConfig::new(24, 41),
+            &fixed_runner(24, 41),
         );
         for (m, agg) in campaign.models.iter().zip(&campaign.aggregates) {
             println!("DIGEST {name} {m:?} {}", digest(agg));

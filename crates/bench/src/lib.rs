@@ -23,40 +23,57 @@
 //!
 //! The number of Monte-Carlo runs defaults to 1000 (as in the paper);
 //! set `PCKPT_RUNS` to trade fidelity for speed, and `PCKPT_SEED` to try
-//! another stream.
+//! another stream. Every bin reads its `PCKPT_*` settings once, through
+//! [`settings`], and exits non-zero on a malformed value.
+
+use std::sync::OnceLock;
 
 use pckpt_core::{
-    parse_runs_spec, run_grid, run_models, CampaignResult, GridCell, GridResult, ModelKind,
-    RunnerConfig, RunsSpec, SimParams,
+    run_grid_filtered, run_models, CampaignResult, GridCell, GridResult, ModelKind, RunnerConfig,
+    Settings, SimParams,
 };
 use pckpt_failure::{FailureDistribution, LeadTimeModel};
 use pckpt_workloads::Application;
+
+/// This process's `PCKPT_*` settings, parsed on first use; a malformed
+/// value ends the process with status 2 and the parse error.
+pub fn settings() -> &'static Settings {
+    static SETTINGS: OnceLock<Settings> = OnceLock::new();
+    SETTINGS.get_or_init(|| {
+        Settings::from_env().unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    })
+}
 
 /// Monte-Carlo runs per configuration (`PCKPT_RUNS`, default 1000). In
 /// adaptive mode (`PCKPT_RUNS=auto[:target[:cap]]`) this is the per-cell
 /// run cap; the stopping rule usually spends far fewer.
 pub fn runs() -> usize {
-    match std::env::var("PCKPT_RUNS").ok().and_then(|v| parse_runs_spec(&v)) {
-        Some(RunsSpec::Fixed(n)) => n,
-        Some(RunsSpec::Auto(a)) => a.max_runs,
-        None => 1000,
-    }
+    settings().runs_or(1000)
 }
 
 /// Master seed (`PCKPT_SEED`, default 20220530 — the paper's IPDPS
 /// presentation date).
 pub fn seed() -> u64 {
-    std::env::var("PCKPT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_220_530)
+    settings().seed.unwrap_or(20_220_530)
 }
 
 /// The runner configuration used by all experiments: `PCKPT_RUNS` runs
-/// from `PCKPT_SEED`, with the `PCKPT_VR` / `PCKPT_RUNS=auto`
-/// variance-reduction knobs applied on top.
+/// from `PCKPT_SEED`, with `PCKPT_VR`, `PCKPT_RUNS=auto` and
+/// `PCKPT_THREADS` applied on top.
 pub fn runner() -> RunnerConfig {
-    RunnerConfig::new(runs(), seed()).with_env_vr()
+    settings().runner(runs(), seed())
+}
+
+/// A plain campaign of `runs` runs from `seed` on the `PCKPT_THREADS`
+/// worker count, for sweeps that fix their own budget and estimator.
+pub fn fixed_runner(runs: usize, seed: u64) -> RunnerConfig {
+    RunnerConfig {
+        threads: settings().threads,
+        ..RunnerConfig::new(runs, seed)
+    }
 }
 
 /// The three applications whose per-app curves the paper shows
@@ -103,11 +120,12 @@ pub fn sweep_cell(
 
 /// Runs a whole bin's sweep — every cell × model × run — through one
 /// work-stealing pool with cross-cell failure-trace sharing (see
-/// `pckpt_core::run_grid`). All cells share one Desh lead-time model and
-/// the experiment-wide [`runner`] configuration.
+/// `pckpt_core::run_grid`). All cells share one Desh lead-time model, the
+/// experiment-wide [`runner`] configuration and the `PCKPT_PREFILTER`
+/// setting.
 pub fn run_cells(cells: &[GridCell]) -> GridResult {
     let leads = LeadTimeModel::desh_default();
-    run_grid(cells, &leads, &runner())
+    run_grid_filtered(cells, &leads, &runner(), settings().prefilter.as_ref())
 }
 
 /// Prints a sweep's execution metadata: one `METRICS_JSON` line with the

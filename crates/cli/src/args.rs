@@ -31,7 +31,7 @@ common options:
   --fn-rate <F>       predictor false-negative rate (default 0.15)
   --alpha <F>         LM transfer factor (default 3.0)
 
-environment:
+environment (a malformed value is an error):
   PCKPT_RUNS=auto[:target[:cap]]  adaptive CI-driven run allocation
   PCKPT_VR=antithetic,stratified[:K]  variance-reduced trace generation
   PCKPT_SHARD_TIMEOUT_SECS=N      per-shard watchdog for `grid --shards`";

@@ -2,28 +2,27 @@
 
 use pckpt_analysis::Table;
 use pckpt_core::{
-    run_grid, run_grid_sharded_opts, run_shard_child, shard_child_config, shard_spec_from_env,
-    Aggregate, GridCell, ModelKind, Prefilter, RunnerConfig, ShardLauncher, ShardOptions,
-    SimParams,
+    run_grid_filtered, run_grid_sharded_opts, run_shard_child, Aggregate, GridCell, ModelKind,
+    Settings, ShardLauncher, ShardOptions, SimParams,
 };
 use pckpt_failure::LeadTimeModel;
 use pckpt_workloads::{Application, TABLE_I};
 
 use crate::args::{Command, GridOptions, LogGenOptions, SimOptions};
 
-/// Executes a parsed command.
-pub fn run(cmd: Command) -> Result<(), String> {
+/// Executes a parsed command under the process's `PCKPT_*` settings.
+pub fn run(cmd: Command, settings: &Settings) -> Result<(), String> {
     match cmd {
-        Command::Simulate(model, opts) => simulate(&[model], &opts),
-        Command::Compare(opts) => simulate(&ModelKind::ALL, &opts),
+        Command::Simulate(model, opts) => simulate(&[model], &opts, settings),
+        Command::Compare(opts) => simulate(&ModelKind::ALL, &opts, settings),
         Command::Leads => leads(),
         Command::Io(app) => io(&app),
         Command::Apps => apps(),
         Command::LogsGenerate(opts) => logs_generate(&opts),
         Command::LogsAnalyze(path) => logs_analyze(&path),
         Command::Trace(model, opts, run, verbose) => trace_run(model, &opts, run, verbose),
-        Command::Grid(g) => grid(&g),
-        Command::Shard(g) => shard(&g),
+        Command::Grid(g) => grid(&g, settings),
+        Command::Shard(g) => shard(&g, settings),
     }
 }
 
@@ -66,21 +65,26 @@ fn shard_launcher(g: &GridOptions) -> Result<ShardLauncher, String> {
     ShardLauncher::current_exe(args)
 }
 
-fn grid(g: &GridOptions) -> Result<(), String> {
+fn grid(g: &GridOptions, settings: &Settings) -> Result<(), String> {
     let cells = build_grid_cells(g)?;
     let leads = LeadTimeModel::desh_default();
-    let config = RunnerConfig::new(g.opts.runs, g.opts.seed).with_env_vr();
+    let config = settings.runner(g.opts.runs, g.opts.seed);
+    let prefilter = settings.prefilter.as_ref();
     let result = if g.shards > 1 {
+        let mut opts = ShardOptions::new(g.shards);
+        if let Some(secs) = settings.shard_timeout_secs {
+            opts.timeout_millis = secs.saturating_mul(1000);
+        }
         run_grid_sharded_opts(
             &cells,
             &leads,
             &config,
-            &ShardOptions::from_env(g.shards),
+            &opts,
             &shard_launcher(g)?,
-            Prefilter::from_env().as_ref(),
+            prefilter,
         )?
     } else {
-        run_grid(&cells, &leads, &config)
+        run_grid_filtered(&cells, &leads, &config, prefilter)
     };
     let mut t = Table::new(vec!["cell", "model", "total (h)", "vs B", "FT ratio"]).with_title(
         format!(
@@ -130,12 +134,14 @@ fn grid(g: &GridOptions) -> Result<(), String> {
     Ok(())
 }
 
-fn shard(g: &GridOptions) -> Result<(), String> {
-    let spec = shard_spec_from_env()
-        .ok_or("shard is internal: requires PCKPT_SHARD=<i>/<RxG> and PCKPT_SHARD_OUT=<path>")?;
+fn shard(g: &GridOptions, settings: &Settings) -> Result<(), String> {
+    let internal = "shard is internal: requires PCKPT_SHARD=<i>/<RxG> and PCKPT_SHARD_OUT=<path>";
+    let spec = settings.shard.as_ref().ok_or(internal)?;
     let cells = build_grid_cells(g)?;
     let leads = LeadTimeModel::desh_default();
-    run_shard_child(&cells, &leads, &shard_child_config(), &spec)
+    // The coordinator always sets PCKPT_RUNS and PCKPT_SEED.
+    let config = settings.runner(settings.runs_or(1), settings.seed.unwrap_or(0));
+    run_shard_child(&cells, &leads, &config, settings.prefilter.as_ref(), spec)
 }
 
 fn trace_run(model: ModelKind, opts: &SimOptions, run: usize, verbose: bool) -> Result<(), String> {
@@ -248,7 +254,7 @@ fn build_params(opts: &SimOptions) -> Result<SimParams, String> {
     Ok(params)
 }
 
-fn simulate(models: &[ModelKind], opts: &SimOptions) -> Result<(), String> {
+fn simulate(models: &[ModelKind], opts: &SimOptions, settings: &Settings) -> Result<(), String> {
     let params = build_params(opts)?;
     let leads = LeadTimeModel::desh_default();
     println!(
@@ -263,10 +269,11 @@ fn simulate(models: &[ModelKind], opts: &SimOptions) -> Result<(), String> {
         opts.alpha,
     );
     let cells = [GridCell::new(params.clone(), models)];
-    let grid = run_grid(
+    let grid = run_grid_filtered(
         &cells,
         &leads,
-        &RunnerConfig::new(opts.runs, opts.seed).with_env_vr(),
+        &settings.runner(opts.runs, opts.seed),
+        settings.prefilter.as_ref(),
     );
     let campaign = grid.cell(0);
     if let Some(v) = grid.analytic_verdicts[0] {
@@ -477,12 +484,11 @@ mod tests {
             models: vec![ModelKind::B, ModelKind::P2],
             shards: 1,
         };
-        grid(&g).unwrap();
+        grid(&g, &Settings::default()).unwrap();
         // `shard` is internal and refuses to run without the coordinator's
         // environment contract.
-        let _lock = pckpt_core::env_test_lock();
-        std::env::remove_var("PCKPT_SHARD");
-        let err = shard(&g).unwrap_err();
+        let unset = Settings::parse(|_| None).unwrap();
+        let err = shard(&g, &unset).unwrap_err();
         assert!(err.contains("PCKPT_SHARD"), "got: {err}");
     }
 
@@ -493,7 +499,7 @@ mod tests {
             runs: 2,
             ..Default::default()
         };
-        simulate(&[ModelKind::B], &opts).unwrap();
-        simulate(&ModelKind::ALL, &opts).unwrap();
+        simulate(&[ModelKind::B], &opts, &Settings::default()).unwrap();
+        simulate(&ModelKind::ALL, &opts, &Settings::default()).unwrap();
     }
 }

@@ -16,13 +16,14 @@
 //! client: it sends one request file to a running daemon and prints
 //! the response verbatim.
 //!
-//! Environment: `PCKPT_CACHE_DIR`, `PCKPT_CACHE_MAX`,
+//! Environment: `PCKPT_CACHE_DIR`, `PCKPT_CACHE_MAX`, `PCKPT_THREADS`,
 //! `PCKPT_JOURNAL_SYNC=always|off` (flags override the environment).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use pckpt_core::Settings;
 use pckpt_service::{respond, serve_unix, submit_unix, Service, ServiceConfig};
 
 const USAGE: &str = "\
@@ -32,7 +33,7 @@ usage:
   pckptd once   --request <FILE-or-DIR> [--cache-dir <DIR>] [--state-dir <DIR>]
   pckptd submit --socket <PATH> --request <FILE>
 
-environment:
+environment (a malformed value is an error):
   PCKPT_CACHE_DIR      persistent cell-cache directory
   PCKPT_CACHE_MAX      on-disk cell retention cap (default 4096)
   PCKPT_JOURNAL_SYNC   always (default) | off";
@@ -79,8 +80,8 @@ fn parse_flags(argv: &[String]) -> Result<Flags, String> {
 }
 
 /// Builds the service config: environment defaults, flag overrides.
-fn service_config(flags: &Flags) -> ServiceConfig {
-    let mut cfg = ServiceConfig::from_env();
+fn service_config(flags: &Flags, settings: &Settings) -> ServiceConfig {
+    let mut cfg = ServiceConfig::from_settings(settings);
     if let Some(dir) = flags.cache_dir.clone() {
         cfg.state_dir = Some(dir.join("journal"));
         cfg.cache_dir = Some(dir);
@@ -113,15 +114,16 @@ fn run(argv: &[String]) -> Result<(), String> {
         return Err("missing subcommand".into());
     };
     let flags = parse_flags(&argv[1..])?;
+    let settings = Settings::from_env()?;
     match mode.as_str() {
         "serve" => {
             let socket = flags.socket.clone().ok_or("serve needs --socket")?;
-            let service = Arc::new(Service::open(service_config(&flags))?);
+            let service = Arc::new(Service::open(service_config(&flags, &settings))?);
             serve_unix(&socket, service, flags.max_requests)
         }
         "once" => {
             let request = flags.request.clone().ok_or("once needs --request")?;
-            let service = Service::open(service_config(&flags))?;
+            let service = Service::open(service_config(&flags, &settings))?;
             for file in request_files(&request)? {
                 let text = std::fs::read_to_string(&file)
                     .map_err(|e| format!("read {}: {e}", file.display()))?;

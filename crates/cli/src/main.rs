@@ -12,13 +12,15 @@
 
 use std::process::ExitCode;
 
+use pckpt_core::Settings;
+
 mod args;
 mod commands;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match args::parse(&argv) {
-        Ok(cmd) => match commands::run(cmd) {
+        Ok(cmd) => match Settings::from_env().and_then(|s| commands::run(cmd, &s)) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");

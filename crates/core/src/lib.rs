@@ -31,7 +31,9 @@
 //!   models, deterministic per-run RNG streams, one work-stealing pool
 //!   loop, and [`CellFold`], the one fold of every fixed-run sweep;
 //! * [`shard`] — the same sweep split across subprocesses, its result
-//!   frames folded back through [`CellFold`].
+//!   frames folded back through [`CellFold`];
+//! * [`settings`] — every `PCKPT_*` variable, parsed once by each
+//!   binary at start-up and passed down as typed values.
 
 #![warn(missing_docs)]
 
@@ -44,6 +46,7 @@ pub mod oci;
 pub mod prefilter;
 pub mod protocol;
 pub mod runner;
+pub mod settings;
 pub mod shard;
 pub mod sim;
 pub mod tracer;
@@ -51,34 +54,19 @@ pub mod tracer;
 pub use config::{ModelKind, SimParams};
 pub use fingerprint::{campaign_fingerprints, cell_fingerprint, Canon, Fingerprint};
 pub use metrics::{Aggregate, OverheadLedger, RunResult};
-pub use prefilter::{AnalyticVerdict, Prefilter, DEFAULT_MARGIN};
+pub use prefilter::{split_cells, AnalyticVerdict, Prefilter, DEFAULT_MARGIN};
 pub use runner::{
-    fold_cell_results, parse_runs_spec, parse_vr_spec, record_run, run_grid, run_grid_filtered,
-    run_grid_with_cell_sink, run_many, run_models, splice_pruned, AdaptiveConfig, CampaignResult,
-    CellFold, CellResults, GridCell, GridPlan, GridResult, GridWorker, PoolStats, RunArena,
-    RunnerConfig, RunsSpec, ShardMeta, VrConfig,
+    fold_cell_results, host_parallelism, parse_runs_spec, parse_vr_spec, record_run, run_grid,
+    run_grid_filtered, run_grid_with_cell_sink, run_many, run_models, splice_pruned,
+    AdaptiveConfig, CampaignResult, CellFold, CellResults, GridCell, GridPlan, GridResult,
+    GridWorker, PoolStats, RunArena, RunnerConfig, RunsSpec, ShardMeta, VrConfig,
 };
+pub use settings::{Settings, SyncPolicy};
 pub use shard::{
-    decode_frame, encode_frame, run_grid_sharded_opts, run_shard_child,
-    shard_child_config, shard_spec_from_env, ShardAssignment, ShardFrame, ShardLauncher,
-    ShardOptions, ShardPlan, ShardSpec,
+    decode_frame, encode_frame, run_grid_sharded_opts, run_shard_child, FailMode, ShardAssignment,
+    ShardFrame, ShardLauncher, ShardOptions, ShardPlan, ShardSpec,
 };
 pub use sim::CrSim;
-
-/// Test-only serialization of process-global environment mutation.
-///
-/// `std::env::set_var` is process-global while `cargo test` runs tests
-/// concurrently, so two tests that mutate the same variable (or one that
-/// mutates while another reads) race. Every test that calls `set_var` /
-/// `remove_var` must hold this lock for its whole mutate–assert–restore
-/// span. Not part of the public API.
-#[doc(hidden)]
-pub fn env_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    // A panic while holding the lock poisons it, but the env state it
-    // guards is restored by each test's own cleanup; keep going.
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Re-export of the structured observability layer (recorders, metrics,
 /// trace exporters) so downstream bins need only depend on `pckpt-core`.

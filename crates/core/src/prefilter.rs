@@ -64,10 +64,10 @@ pub struct AnalyticVerdict {
     pub clearance: f64,
 }
 
-/// Configuration of the analytic pre-filter (tentpole: the opt-in
-/// `PCKPT_PREFILTER=analytic[:margin]` tier of [`run_grid`]).
+/// Configuration of the analytic pre-filter (the opt-in
+/// `PCKPT_PREFILTER=analytic[:margin]` tier of [`run_grid_filtered`]).
 ///
-/// [`run_grid`]: crate::runner::run_grid
+/// [`run_grid_filtered`]: crate::runner::run_grid_filtered
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prefilter {
     /// Relative α-margin a verdict must clear (see [`DEFAULT_MARGIN`]).
@@ -91,40 +91,29 @@ impl Prefilter {
         Self { margin }
     }
 
-    /// Reads `PCKPT_PREFILTER` from the environment: unset, empty or
-    /// `off` → `None` (simulate everything, the default); `analytic` →
-    /// the default margin; `analytic:<margin>` → an explicit margin.
-    /// Anything else panics with the accepted grammar, so a typo fails a
-    /// sweep loudly instead of silently simulating every cell.
-    // simlint: config — PCKPT_PREFILTER is the sanctioned sweep-config
-    // entry point; the parsed margin changes which cells are simulated,
-    // never the per-cell results.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("PCKPT_PREFILTER") {
-            Ok(spec) => Self::parse(&spec),
-            Err(_) => None,
-        }
-    }
-
-    /// Parses a `PCKPT_PREFILTER` value (see [`Self::from_env`]).
-    pub fn parse(spec: &str) -> Option<Self> {
+    /// Parses a `PCKPT_PREFILTER` value or a request's `"prefilter"`:
+    /// empty or `off` → `None` (simulate everything, the default);
+    /// `analytic` → the default margin; `analytic:<margin>` → an explicit
+    /// finite, non-negative margin. Anything else is an error naming the
+    /// accepted grammar, so a typo fails loudly instead of silently
+    /// simulating every cell.
+    pub fn parse(spec: &str) -> Result<Option<Self>, String> {
         let spec = spec.trim();
-        if spec.is_empty() || spec == "off" {
-            return None;
+        match spec.strip_prefix("analytic") {
+            _ if spec.is_empty() || spec == "off" => Ok(None),
+            Some("") => Ok(Some(Self::default())),
+            Some(rest) if rest.starts_with(':') => match rest[1..].trim().parse::<f64>() {
+                Ok(m) if m.is_finite() && m >= 0.0 => Ok(Some(Self::new(m))),
+                _ => Err(format!(
+                    "PCKPT_PREFILTER margin must be a number, finite and non-negative, got {:?}",
+                    &rest[1..]
+                )),
+            },
+            _ => Err(format!(
+                "unrecognized PCKPT_PREFILTER value {spec:?} \
+                 (expected \"off\", \"analytic\", or \"analytic:<margin>\")"
+            )),
         }
-        if spec == "analytic" {
-            return Some(Self::default());
-        }
-        if let Some(rest) = spec.strip_prefix("analytic:") {
-            let margin: f64 = rest.trim().parse().unwrap_or_else(|_| {
-                panic!("PCKPT_PREFILTER margin must be a number, got {rest:?}")
-            });
-            return Some(Self::new(margin));
-        }
-        panic!(
-            "unrecognized PCKPT_PREFILTER value {spec:?} \
-             (expected \"off\", \"analytic\", or \"analytic:<margin>\")"
-        );
     }
 
     /// Renders this filter as a `PCKPT_PREFILTER` value that
@@ -163,6 +152,22 @@ impl Prefilter {
     }
 }
 
+/// Each cell's analytic verdict under `prefilter` (all `None` without
+/// one) and the cells left to simulate, in input order.
+pub fn split_cells(
+    cells: &[GridCell],
+    leads: &LeadTimeModel,
+    prefilter: Option<&Prefilter>,
+) -> (Vec<Option<AnalyticVerdict>>, Vec<GridCell>) {
+    let verdicts: Vec<_> = cells
+        .iter()
+        .map(|c| prefilter.and_then(|pf| pf.cell_verdict(c, leads)))
+        .collect();
+    let survivors = cells.iter().zip(&verdicts).filter(|(_, v)| v.is_none());
+    let survivors = survivors.map(|(c, _)| c.clone()).collect();
+    (verdicts, survivors)
+}
+
 /// Is `cell` exactly the paper's crossover comparison — p-ckpt vs live
 /// migration (optionally with the B baseline alongside)?
 ///
@@ -185,6 +190,7 @@ fn crossover_cell(cell: &GridCell) -> bool {
 mod tests {
     use super::*;
     use crate::config::SimParams;
+    use crate::settings::tests::parse as settings;
     use pckpt_workloads::Application;
 
     fn cell(app: &str, models: &[ModelKind]) -> GridCell {
@@ -196,30 +202,36 @@ mod tests {
 
     #[test]
     fn parse_accepts_the_documented_grammar() {
-        assert_eq!(Prefilter::parse(""), None);
-        assert_eq!(Prefilter::parse("off"), None);
-        assert_eq!(Prefilter::parse(" off "), None);
+        assert_eq!(Prefilter::parse(""), Ok(None));
+        assert_eq!(Prefilter::parse("off"), Ok(None));
+        assert_eq!(Prefilter::parse(" off "), Ok(None));
         assert_eq!(
             Prefilter::parse("analytic"),
-            Some(Prefilter::new(DEFAULT_MARGIN))
+            Ok(Some(Prefilter::new(DEFAULT_MARGIN)))
         );
         assert_eq!(
             Prefilter::parse("analytic:0.3"),
-            Some(Prefilter::new(0.3))
+            Ok(Some(Prefilter::new(0.3)))
         );
-        assert_eq!(Prefilter::parse("analytic:0"), Some(Prefilter::new(0.0)));
+        assert_eq!(
+            Prefilter::parse("analytic:0"),
+            Ok(Some(Prefilter::new(0.0)))
+        );
+        for bad in ["analytic:-1", "analytic:NaN", "analytic:inf", "analytic0.2"] {
+            assert!(Prefilter::parse(bad).is_err(), "{bad:?} accepted");
+        }
     }
 
     #[test]
     #[should_panic(expected = "unrecognized PCKPT_PREFILTER")]
     fn parse_rejects_typos_loudly() {
-        let _ = Prefilter::parse("analytics");
+        Prefilter::parse("analytics").unwrap();
     }
 
     #[test]
     #[should_panic(expected = "margin must be a number")]
     fn parse_rejects_bad_margins_loudly() {
-        let _ = Prefilter::parse("analytic:lots");
+        Prefilter::parse("analytic:lots").unwrap();
     }
 
     #[test]
@@ -280,13 +292,11 @@ mod tests {
 
     #[test]
     fn from_env_reads_the_documented_variable() {
-        // The environment is process-global: hold the shared env lock
-        // across the mutate–assert–restore span so this cannot race the
-        // runner's env tests.
-        let _env = crate::env_test_lock();
-        std::env::set_var("PCKPT_PREFILTER", "analytic:0.2");
-        assert_eq!(Prefilter::from_env(), Some(Prefilter::new(0.2)));
-        std::env::remove_var("PCKPT_PREFILTER");
-        assert_eq!(Prefilter::from_env(), None);
+        let parse = |value| settings(&[("PCKPT_PREFILTER", value)]).map(|s| s.prefilter);
+        assert_eq!(parse("analytic:0.2"), Ok(Some(Prefilter::new(0.2))));
+        assert_eq!(parse(""), Ok(None));
+        assert!(parse("analytic:-0.2")
+            .unwrap_err()
+            .contains("PCKPT_PREFILTER"));
     }
 }

@@ -36,7 +36,7 @@
 //! `PCKPT_SHARD_FAIL=<shard>:<mode>[:always]` hook injects these
 //! failures in tests (`kill`, `truncate`, `baddigest`, `hang`).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
@@ -50,7 +50,7 @@ use crate::frames::{
     put_u64, seal, FRAME_VERSION,
 };
 use crate::metrics::RunResult;
-use crate::prefilter::Prefilter;
+use crate::prefilter::{split_cells, Prefilter};
 use crate::runner::{
     run_fixed_range, splice_pruned, vr_env_spec, CellFold, GridCell, GridPlan, GridResult,
     PoolStats, RunnerConfig, ShardMeta, VrConfig,
@@ -392,7 +392,9 @@ fn binding_digest(
 // Child side
 // ---------------------------------------------------------------------
 
-/// The geometry a shard child receives from its coordinator.
+/// The geometry a shard child receives from its coordinator
+/// (`PCKPT_SHARD`, `PCKPT_SHARD_OUT`; parsed by
+/// [`Settings`](crate::settings::Settings)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec {
     /// This child's shard index.
@@ -403,50 +405,14 @@ pub struct ShardSpec {
     pub group_splits: usize,
     /// Where to write the result frame.
     pub out: PathBuf,
-}
-
-/// Reads the coordinator-assigned shard geometry
-/// (`PCKPT_SHARD=<index>/<run_splits>x<group_splits>`,
-/// `PCKPT_SHARD_OUT=<frame path>`) — `None` when this process is not a
-/// shard child.
-// simlint: config — PCKPT_SHARD / PCKPT_SHARD_OUT carry the
-// coordinator-assigned execution geometry, part of the experiment
-// definition like the seed; they select which slice runs, never how any
-// single run computes.
-pub fn shard_spec_from_env() -> Option<ShardSpec> {
-    let spec = std::env::var("PCKPT_SHARD").ok()?;
-    let out = std::env::var("PCKPT_SHARD_OUT").ok()?;
-    let (index, geom) = spec.split_once('/')?;
-    let (rs, gs) = geom.split_once('x')?;
-    Some(ShardSpec {
-        index: index.trim().parse().ok()?,
-        run_splits: rs.trim().parse().ok()?,
-        group_splits: gs.trim().parse().ok()?,
-        out: PathBuf::from(out),
-    })
-}
-
-/// Builds the child-side runner configuration from the environment the
-/// coordinator propagates (`PCKPT_RUNS`, `PCKPT_SEED`, `PCKPT_VR`;
-/// threads resolve through the usual `PCKPT_THREADS` path).
-// simlint: config — these are the same sanctioned experiment-definition
-// reads the bench harness performs; the coordinator sets them explicitly
-// for every child, so the child's config mirrors the coordinator's.
-pub fn shard_child_config() -> RunnerConfig {
-    let runs = std::env::var("PCKPT_RUNS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1);
-    let seed = std::env::var("PCKPT_SEED")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0);
-    RunnerConfig::new(runs, seed).with_env_vr()
+    /// The `PCKPT_SHARD_FAIL` test hook's failure for this shard, if it
+    /// fires on this attempt.
+    pub fail: Option<FailMode>,
 }
 
 /// Injected failure modes of the `PCKPT_SHARD_FAIL` test hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FailMode {
+pub enum FailMode {
     /// Exit before writing any frame (a child killed mid-run).
     Kill,
     /// Write a truncated frame.
@@ -459,40 +425,11 @@ enum FailMode {
     Hang,
 }
 
-/// Parses `PCKPT_SHARD_FAIL=<shard>:<mode>[:always]` and applies the
-/// attempt gate: without `always` the failure fires only on the first
-/// attempt (`PCKPT_SHARD_ATTEMPT` ≤ 1), so the coordinator's retry
-/// succeeds and recovery is observable end to end.
-// simlint: config — test-only failure-injection hook; it decides whether
-// this child sabotages its own output, never what any simulation
-// computes.
-fn fail_mode_from_env(index: usize) -> Option<FailMode> {
-    let spec = std::env::var("PCKPT_SHARD_FAIL").ok()?;
-    let attempt: usize = std::env::var("PCKPT_SHARD_ATTEMPT")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1);
-    let mut parts = spec.trim().split(':');
-    let shard: usize = parts.next()?.trim().parse().ok()?;
-    let mode = match parts.next()?.trim() {
-        "kill" => FailMode::Kill,
-        "truncate" => FailMode::Truncate,
-        "baddigest" => FailMode::BadDigest,
-        "hang" => FailMode::Hang,
-        _ => return None,
-    };
-    let always = parts.next().is_some_and(|t| t.trim() == "always");
-    if shard != index || (!always && attempt > 1) {
-        return None;
-    }
-    Some(mode)
-}
-
 /// Executes one shard of `cells` and writes its result frame to
 /// `spec.out`.
 ///
-/// The child rebuilds the coordinator's exact view: the prefilter from
-/// `PCKPT_PREFILTER` selects the same survivors, the full survivor
+/// The child rebuilds the coordinator's exact view: the coordinator's
+/// prefilter selects the same survivors, the full survivor
 /// [`GridPlan`] yields the same trace groups, and the explicit geometry
 /// in `spec` yields the same assignment — then the shard's cells run as
 /// their own grid over the assigned global-run range, which is
@@ -502,18 +439,10 @@ pub fn run_shard_child(
     cells: &[GridCell],
     leads: &LeadTimeModel,
     config: &RunnerConfig,
+    prefilter: Option<&Prefilter>,
     spec: &ShardSpec,
 ) -> Result<(), String> {
-    let prefilter = Prefilter::from_env();
-    let survivors: Vec<GridCell> = cells
-        .iter()
-        .filter(|c| {
-            prefilter
-                .as_ref()
-                .map_or(true, |pf| pf.cell_verdict(c, leads).is_none())
-        })
-        .cloned()
-        .collect();
+    let (_, survivors) = split_cells(cells, leads, prefilter);
     if survivors.is_empty() {
         return Err("no surviving cells to shard".into());
     }
@@ -564,7 +493,7 @@ pub fn run_shard_child(
     };
     let mut bytes = encode_frame(&frame);
 
-    match fail_mode_from_env(spec.index) {
+    match spec.fail {
         Some(FailMode::Kill) => std::process::exit(3),
         Some(FailMode::Truncate) => {
             let keep = bytes.len() - (bytes.len() / 3).max(1);
@@ -643,23 +572,32 @@ impl ShardOptions {
             timeout_millis: 600_000,
         }
     }
+}
 
-    /// [`new`](Self::new) with the `PCKPT_SHARD_TIMEOUT_SECS` override
-    /// applied.
-    // simlint: config — the timeout shapes failure handling (an
-    // execution-environment property, like PCKPT_THREADS), never any
-    // result: every validated frame is deterministic in the campaign.
-    pub fn from_env(shards: usize) -> Self {
-        let mut opts = Self::new(shards);
-        if let Some(secs) = std::env::var("PCKPT_SHARD_TIMEOUT_SECS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&s| s > 0)
-        {
-            opts.timeout_millis = secs.saturating_mul(1000);
-        }
-        opts
-    }
+/// The environment the coordinator sets on shard child `index`: its
+/// geometry, frame path and attempt, then the campaign. An empty value
+/// reads as unset, so these pairs override whatever the child inherits,
+/// and [`Settings`](crate::settings::Settings) parses them back to the
+/// coordinator's own config, prefilter and geometry.
+pub(crate) fn child_env(
+    config: &RunnerConfig,
+    prefilter: Option<&Prefilter>,
+    splan: &ShardPlan,
+    index: usize,
+    out: &Path,
+    attempt: usize,
+) -> [(&'static str, String); 8] {
+    let geometry = format!("{index}/{}x{}", splan.run_splits, splan.group_splits);
+    [
+        ("PCKPT_SHARD", geometry),
+        ("PCKPT_SHARD_OUT", out.display().to_string()),
+        ("PCKPT_SHARD_ATTEMPT", attempt.to_string()),
+        ("PCKPT_SEED", config.base_seed.to_string()),
+        ("PCKPT_RUNS", config.runs.to_string()),
+        ("PCKPT_VR", vr_env_spec(&config.vr)),
+        ("PCKPT_PREFILTER", prefilter.map(Prefilter::spec).unwrap_or_default()),
+        ("PCKPT_THREADS", config.threads.to_string()),
+    ]
 }
 
 /// Scratch-file counter: distinct paths per coordinator invocation
@@ -709,8 +647,8 @@ fn stderr_tail(path: &PathBuf) -> String {
 /// per shard through `launcher`, folds the returned frames through
 /// [`CellFold`] in single-process order, and returns a [`GridResult`]
 /// whose per-cell aggregates are bit-identical to the in-process sweep.
-/// The caller supplies the options and the prefilter (the CLI reads
-/// them from `PCKPT_SHARD_TIMEOUT_SECS` and `PCKPT_PREFILTER`).
+/// The caller supplies the options and the prefilter (the CLI takes
+/// them from its [`Settings`](crate::settings::Settings)).
 ///
 /// Falls back to the in-process engine (still reporting `shard_meta`)
 /// when sharding cannot help or cannot stay exact: one shard requested,
@@ -738,16 +676,7 @@ pub fn run_grid_sharded_opts(
     if opts.shards <= 1 || config.vr.adaptive.is_some() {
         return Ok(in_process(fallback));
     }
-    let verdicts: Vec<_> = match prefilter {
-        Some(pf) => cells.iter().map(|c| pf.cell_verdict(c, leads)).collect(),
-        None => vec![None; cells.len()],
-    };
-    let survivors: Vec<GridCell> = cells
-        .iter()
-        .zip(&verdicts)
-        .filter(|(_, v)| v.is_none())
-        .map(|(c, _)| c.clone())
-        .collect();
+    let (verdicts, survivors) = split_cells(cells, leads, prefilter);
     if survivors.is_empty() {
         return Ok(in_process(fallback));
     }
@@ -783,25 +712,7 @@ pub fn run_grid_sharded_opts(
         for (k, v) in &launcher.envs {
             cmd.env(k, v);
         }
-        cmd.env(
-            "PCKPT_SHARD",
-            format!("{index}/{}x{}", splan.run_splits, splan.group_splits),
-        );
-        cmd.env("PCKPT_SHARD_OUT", out);
-        cmd.env("PCKPT_SHARD_ATTEMPT", attempt.to_string());
-        cmd.env("PCKPT_SEED", config.base_seed.to_string());
-        cmd.env("PCKPT_RUNS", config.runs.to_string());
-        match vr_env_spec(&config.vr) {
-            Some(spec) => cmd.env("PCKPT_VR", spec),
-            None => cmd.env_remove("PCKPT_VR"),
-        };
-        match &prefilter_spec {
-            s if s.is_empty() => cmd.env_remove("PCKPT_PREFILTER"),
-            s => cmd.env("PCKPT_PREFILTER", s),
-        };
-        if config.threads > 0 {
-            cmd.env("PCKPT_THREADS", config.threads.to_string());
-        }
+        cmd.envs(child_env(config, prefilter, &splan, index, out, attempt));
         cmd.spawn()
             .map_err(|e| format!("cannot spawn shard {index}: {e}"))
     };
@@ -1112,40 +1023,57 @@ mod tests {
         assert!(decode_frame(&bad).is_err(), "corrupted byte went undetected");
     }
 
+    fn child_spec(pairs: &[(&str, &str)]) -> Result<Option<ShardSpec>, String> {
+        let mut env = pairs.to_vec();
+        env.extend([
+            ("PCKPT_SHARD", "1/2x1"),
+            ("PCKPT_SHARD_OUT", "/tmp/f.frame"),
+        ]);
+        crate::settings::tests::parse(&env).map(|s| s.shard)
+    }
+
     #[test]
     fn fail_spec_parses_and_gates_on_attempt() {
-        let _env = crate::env_test_lock();
-        std::env::set_var("PCKPT_SHARD_FAIL", "1:truncate");
-        std::env::remove_var("PCKPT_SHARD_ATTEMPT");
-        assert_eq!(fail_mode_from_env(1), Some(FailMode::Truncate));
-        assert_eq!(fail_mode_from_env(0), None, "other shards unaffected");
-        std::env::set_var("PCKPT_SHARD_ATTEMPT", "2");
-        assert_eq!(fail_mode_from_env(1), None, "retry must succeed");
-        std::env::set_var("PCKPT_SHARD_FAIL", "1:kill:always");
-        assert_eq!(fail_mode_from_env(1), Some(FailMode::Kill), "always persists");
-        std::env::set_var("PCKPT_SHARD_FAIL", "1:explode");
-        assert_eq!(fail_mode_from_env(1), None, "unknown modes are inert");
-        std::env::remove_var("PCKPT_SHARD_FAIL");
-        std::env::remove_var("PCKPT_SHARD_ATTEMPT");
+        let fail = |pairs: &[(&str, &str)]| child_spec(pairs).map(|s| s.unwrap().fail);
+        assert_eq!(
+            fail(&[("PCKPT_SHARD_FAIL", "1:truncate")]),
+            Ok(Some(FailMode::Truncate))
+        );
+        let other = fail(&[("PCKPT_SHARD_FAIL", "0:truncate")]);
+        assert_eq!(other, Ok(None), "other shards unaffected");
+        let retry = [
+            ("PCKPT_SHARD_FAIL", "1:truncate"),
+            ("PCKPT_SHARD_ATTEMPT", "2"),
+        ];
+        assert_eq!(fail(&retry), Ok(None), "retry must succeed");
+        let always = [
+            ("PCKPT_SHARD_FAIL", "1:kill:always"),
+            ("PCKPT_SHARD_ATTEMPT", "2"),
+        ];
+        assert_eq!(fail(&always), Ok(Some(FailMode::Kill)), "always persists");
+        assert!(
+            fail(&[("PCKPT_SHARD_FAIL", "1:explode")]).is_err(),
+            "unknown modes are errors"
+        );
     }
 
     #[test]
     fn shard_spec_roundtrips_through_env() {
-        let _env = crate::env_test_lock();
-        std::env::set_var("PCKPT_SHARD", "3/2x2");
-        std::env::set_var("PCKPT_SHARD_OUT", "/tmp/f.frame");
-        let spec = shard_spec_from_env().unwrap();
+        let spec = child_spec(&[("PCKPT_SHARD", "3/2x2")]).unwrap().unwrap();
+        let out = PathBuf::from("/tmp/f.frame");
         assert_eq!(
             spec,
             ShardSpec {
                 index: 3,
                 run_splits: 2,
                 group_splits: 2,
-                out: PathBuf::from("/tmp/f.frame"),
+                out,
+                fail: None
             }
         );
-        std::env::remove_var("PCKPT_SHARD");
-        std::env::remove_var("PCKPT_SHARD_OUT");
-        assert!(shard_spec_from_env().is_none());
+        assert_eq!(
+            crate::settings::tests::parse(&[]).map(|s| s.shard),
+            Ok(None)
+        );
     }
 }

@@ -354,8 +354,7 @@ mod tests {
 
     /// `set_var` is process-global while tests run concurrently; every
     /// test mutating `PCKPT_BENCH_SAMPLE_MS` holds this lock for its
-    /// whole span (the same pattern as `pckpt_core::env_test_lock`,
-    /// local here because this shim depends on nothing).
+    /// whole span.
     fn env_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)

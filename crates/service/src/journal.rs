@@ -39,6 +39,7 @@ use std::path::Path;
 use pckpt_core::fingerprint::fnv1a;
 use pckpt_core::frames::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64, FRAME_VERSION};
 use pckpt_core::Fingerprint;
+pub use pckpt_core::SyncPolicy;
 
 /// Record magic ("PKJL" little-endian).
 pub const REC_MAGIC: u32 = 0x4c4a_4b50;
@@ -49,32 +50,10 @@ const KIND_CELL: u8 = 1;
 /// Fixed record overhead: magic + kind + len + digest.
 const REC_OVERHEAD: usize = 4 + 1 + 8 + 8;
 
-/// When appended records reach the disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// `sync_data` after every record (default; survives power cut).
-    Always,
-    /// Leave flushing to the OS (survives process kill only).
-    Off,
-}
-
-impl SyncPolicy {
-    /// Reads `PCKPT_JOURNAL_SYNC` (`always` | `off`).
-    pub fn from_env() -> SyncPolicy {
-        // simlint: config
-        match std::env::var("PCKPT_JOURNAL_SYNC").as_deref() {
-            Ok("off") => SyncPolicy::Off,
-            _ => SyncPolicy::Always,
-        }
-    }
-}
-
 /// An open, append-position journal for one campaign.
 pub struct Journal {
     file: File,
     sync: SyncPolicy,
-    /// Records appended through this handle (crash-injection hook).
-    appended: u64,
 }
 
 /// Cells recovered from an existing journal: survivor index → sealed
@@ -197,11 +176,7 @@ impl Journal {
             .map_err(|e| format!("truncate {}: {e}", path.display()))?;
         file.seek(SeekFrom::End(0)).map_err(|e| e.to_string())?;
 
-        let mut journal = Journal {
-            file,
-            sync,
-            appended: 0,
-        };
+        let mut journal = Journal { file, sync };
         if good_end == 0 {
             journal.append_record(KIND_HEADER, &header_payload(campaign_fp, n_cells))?;
         }
@@ -226,15 +201,7 @@ impl Journal {
         let mut payload = Vec::with_capacity(8 + frame_bytes.len());
         put_u64(&mut payload, cell_idx as u64);
         payload.extend_from_slice(frame_bytes);
-        self.append_record(KIND_CELL, &payload)?;
-        self.appended += 1;
-        Ok(())
-    }
-
-    /// Cell records appended through this handle (the header does not
-    /// count). Drives the `PCKPT_SERVICE_FAIL=crash:<k>` hook.
-    pub fn cells_appended(&self) -> u64 {
-        self.appended
+        self.append_record(KIND_CELL, &payload)
     }
 }
 

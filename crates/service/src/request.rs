@@ -27,10 +27,8 @@
 //! request text canonically determines cell order — and with it the
 //! campaign fingerprint the sweep journal binds to.
 
-use std::sync::OnceLock;
-
 use pckpt_core::{
-    parse_vr_spec, GridCell, ModelKind, Prefilter, RunnerConfig, SimParams,
+    host_parallelism, parse_vr_spec, GridCell, ModelKind, Prefilter, RunnerConfig, SimParams,
 };
 use pckpt_failure::FailureDistribution;
 use pckpt_workloads::Application;
@@ -72,29 +70,6 @@ fn str_list(doc: &Json, plural: &str, singular: &str) -> Result<Vec<String>, Str
         return Ok(vec![one.to_string()]);
     }
     Ok(Vec::new())
-}
-
-/// A request's prefilter spec: `analytic` or `analytic:<margin>`.
-/// [`Prefilter::parse`] panics on a malformed spec, which suits its
-/// environment variable but would let one request crash the daemon, so
-/// requests get this non-panicking reading of the same grammar.
-fn prefilter_spec(spec: &str) -> Result<Prefilter, String> {
-    let margin = match spec.trim().strip_prefix("analytic") {
-        Some("") => return Ok(Prefilter::default()),
-        Some(rest) => rest.strip_prefix(':').and_then(|m| m.trim().parse::<f64>().ok()),
-        None => None,
-    };
-    match margin {
-        Some(m) if m.is_finite() && m >= 0.0 => Ok(Prefilter::new(m)),
-        _ => Err(format!("unknown prefilter spec '{spec}'")),
-    }
-}
-
-/// The host's parallelism, read once per process: the lookup reads
-/// cgroup files and would otherwise cost every request ~0.1 ms.
-fn host_parallelism() -> usize {
-    static HOST: OnceLock<usize> = OnceLock::new();
-    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Parses and validates one request document.
@@ -186,7 +161,7 @@ pub fn parse_request(text: &str) -> Result<CampaignRequest, String> {
     }
 
     let prefilter = match doc.get("prefilter").and_then(Json::as_str) {
-        Some(spec) => Some(prefilter_spec(spec)?),
+        Some(spec) => Prefilter::parse(spec)?,
         None => None,
     };
 
@@ -263,6 +238,8 @@ mod tests {
             r#"{"app":"XGC","dist":"marsrover"}"#,
             r#"{"app":"XGC","prefilter":"bogus"}"#,
             r#"{"app":"XGC","prefilter":"analytic:-1"}"#,
+            r#"{"app":"XGC","prefilter":"analytic:NaN"}"#,
+            r#"{"app":"XGC","prefilter":"analytics"}"#,
             r#"{"app":"XGC","prefilter":"analytic:x"}"#,
             r#"{"app":"XGC","fn_rate":2}"#,
             r#"{"app":"XGC","lm_alpha":0}"#,

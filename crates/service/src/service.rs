@@ -37,9 +37,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use pckpt_core::{
-    campaign_fingerprints, run_grid_filtered, run_grid_with_cell_sink, splice_pruned,
-    AnalyticVerdict, CampaignResult, CellFold, Fingerprint, GridCell, GridResult, PoolStats,
-    RunResult, RunnerConfig,
+    campaign_fingerprints, run_grid_filtered, run_grid_with_cell_sink, splice_pruned, split_cells,
+    CampaignResult, CellFold, Fingerprint, GridCell, GridResult, PoolStats, RunResult,
+    RunnerConfig, Settings,
 };
 use pckpt_failure::LeadTimeModel;
 
@@ -49,15 +49,11 @@ use crate::flight::{Claim, LeaderGuard, SingleFlight};
 use crate::journal::{Journal, SyncPolicy};
 use crate::request::CampaignRequest;
 
-/// Journal appends performed by this process, across all campaigns —
-/// the `PCKPT_SERVICE_FAIL=crash:<k>` hook counts against this.
-static APPENDS: AtomicU64 = AtomicU64::new(0);
-
 /// A cell's folded result and attained relative CI: what the memory
 /// tier holds. `CampaignResult::threads` is stamped per request.
 type Folded = (CampaignResult, f64);
 
-/// Service configuration (directories and retention).
+/// Service configuration (directories, retention and defaults).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Cell-cache directory (`None` disables the persistent cache).
@@ -70,40 +66,41 @@ pub struct ServiceConfig {
     pub mem_max: usize,
     /// Journal sync policy.
     pub sync: SyncPolicy,
+    /// Worker threads for requests that leave `threads` at 0 (0 = one
+    /// per available core).
+    pub threads: usize,
+    /// Test hook (`PCKPT_SERVICE_FAIL=crash:<k>`): exit with status 13
+    /// right after the `k`-th journal append, to exercise resume.
+    pub crash_after: Option<u64>,
 }
 
 impl ServiceConfig {
-    /// Reads `PCKPT_CACHE_DIR`, `PCKPT_CACHE_MAX`, and
-    /// `PCKPT_JOURNAL_SYNC`. The journal lives beside the cache
-    /// (`<cache>/journal/`) unless the caller overrides `state_dir`.
-    // simlint: config — sanctioned execution-config reads; directory
-    // placement and retention never reach a result digest.
-    pub fn from_env() -> ServiceConfig {
-        let cache_dir = std::env::var("PCKPT_CACHE_DIR").ok().map(PathBuf::from);
-        let cache_max = std::env::var("PCKPT_CACHE_MAX")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(4096);
-        let state_dir = cache_dir.as_ref().map(|d| d.join("journal"));
-        ServiceConfig {
-            cache_dir,
-            state_dir,
-            cache_max,
-            mem_max: 256,
-            sync: SyncPolicy::from_env(),
-        }
-    }
-
-    /// A config rooted at explicit directories (tests and `pckptd`
-    /// flags).
+    /// A config rooted at explicit directories, with default retention,
+    /// `SyncPolicy::Always` and auto threads.
     pub fn in_dirs(cache_dir: Option<PathBuf>, state_dir: Option<PathBuf>) -> ServiceConfig {
         ServiceConfig {
             cache_dir,
             state_dir,
             cache_max: 4096,
             mem_max: 256,
-            sync: SyncPolicy::from_env(),
+            sync: SyncPolicy::Always,
+            threads: 0,
+            crash_after: None,
         }
+    }
+
+    /// The config `settings` describe: `PCKPT_CACHE_DIR` with the
+    /// journal beside it (`<cache>/journal/`), `PCKPT_CACHE_MAX`,
+    /// `PCKPT_JOURNAL_SYNC`, `PCKPT_THREADS` and `PCKPT_SERVICE_FAIL`.
+    pub fn from_settings(settings: &Settings) -> ServiceConfig {
+        let cache_dir = settings.cache_dir.clone();
+        let state_dir = cache_dir.as_ref().map(|d| d.join("journal"));
+        let mut cfg = Self::in_dirs(cache_dir, state_dir);
+        cfg.cache_max = settings.cache_max.unwrap_or(cfg.cache_max);
+        cfg.sync = settings.journal_sync;
+        cfg.threads = settings.threads;
+        cfg.crash_after = settings.service_crash_after;
+        cfg
     }
 }
 
@@ -162,24 +159,6 @@ impl ServiceOutcome {
     }
 }
 
-/// Crash-injection hook: `PCKPT_SERVICE_FAIL=crash:<k>` kills the
-/// process (exit 13) immediately after the `k`-th journal append it
-/// performs. Exercises the resume path exactly like the shard fault
-/// harness exercises child failures.
-// simlint: config — test-only fault injection, mirrors
-// `PCKPT_SHARD_FAIL`; never set in production runs.
-fn crash_hook_after_append() {
-    let Ok(spec) = std::env::var("PCKPT_SERVICE_FAIL") else {
-        return;
-    };
-    let Some(k) = spec.strip_prefix("crash:").and_then(|s| s.trim().parse::<u64>().ok()) else {
-        return;
-    };
-    if APPENDS.load(Ordering::SeqCst) >= k {
-        std::process::exit(13);
-    }
-}
-
 /// One request's handle on its campaign's journal lock. Dropping it
 /// removes the table entry when no other request holds the lock, so the
 /// table stays as small as the set of campaigns in flight.
@@ -212,6 +191,8 @@ pub struct Service {
     /// holds it ([`CampaignLock`]).
     journal_locks: Mutex<BTreeMap<u128, Arc<Mutex<()>>>>,
     leads: LeadTimeModel,
+    /// Journal appends across all campaigns (the `crash_after` hook).
+    appends: AtomicU64,
 }
 
 impl Service {
@@ -224,6 +205,7 @@ impl Service {
             flight,
             journal_locks: Mutex::new(BTreeMap::new()),
             leads: LeadTimeModel::desh_default(),
+            appends: AtomicU64::new(0),
             cfg,
         })
     }
@@ -278,11 +260,16 @@ impl Service {
     /// Serves one campaign request through the reuse layers: memory,
     /// then journal, then disk cache, then compute.
     pub fn execute(&self, req: &CampaignRequest) -> Result<ServiceOutcome, String> {
-        if req.config.vr.adaptive.is_some() {
+        let mut config = req.config;
+        if config.threads == 0 {
+            config.threads = self.cfg.threads;
+        }
+        let config = &config;
+        if config.vr.adaptive.is_some() {
             // Grid-pooled adaptive feedback: cell results depend on
             // pool composition, so frames are not independently
             // addressable. Run uncached (shard.rs precedent).
-            let grid = run_grid_filtered(&req.cells, &self.leads, &req.config, req.prefilter.as_ref());
+            let grid = run_grid_filtered(&req.cells, &self.leads, config, req.prefilter.as_ref());
             let meta = ServiceMeta {
                 pruned: grid.cells_pruned as u64,
                 computed_cells: grid.cells_simulated() as u64,
@@ -292,18 +279,7 @@ impl Service {
             return Ok(ServiceOutcome { grid, meta });
         }
 
-        let config = &req.config;
-        let verdicts: Vec<Option<AnalyticVerdict>> = match req.prefilter.as_ref() {
-            Some(pf) => req.cells.iter().map(|c| pf.cell_verdict(c, &self.leads)).collect(),
-            None => vec![None; req.cells.len()],
-        };
-        let survivors: Vec<GridCell> = req
-            .cells
-            .iter()
-            .zip(&verdicts)
-            .filter(|(_, v)| v.is_none())
-            .map(|(c, _)| c.clone())
-            .collect();
+        let (verdicts, survivors) = split_cells(&req.cells, &self.leads, req.prefilter.as_ref());
         let mut meta = ServiceMeta {
             pruned: (req.cells.len() - survivors.len()) as u64,
             ..ServiceMeta::default()
@@ -426,14 +402,12 @@ impl Service {
         }
 
         // Assemble the survivor grid from the folds, stamping this
-        // request's thread count onto each cell.
-        let pool = computed_grid.as_ref().map_or_else(
-            || PoolStats {
-                threads: config.effective_threads_for(0),
-                ..PoolStats::default()
-            },
-            PoolStats::from,
-        );
+        // request's thread count onto each cell (one when no pool ran).
+        let idle = || PoolStats {
+            threads: 1,
+            ..PoolStats::default()
+        };
+        let pool = computed_grid.as_ref().map_or_else(idle, PoolStats::from);
         let folds = resolved
             .iter()
             .enumerate()
@@ -497,8 +471,10 @@ impl Service {
                     return;
                 }
                 appended += 1;
-                APPENDS.fetch_add(1, Ordering::SeqCst);
-                crash_hook_after_append();
+                let total = self.appends.fetch_add(1, Ordering::SeqCst) + 1;
+                if self.cfg.crash_after.is_some_and(|k| total >= k) {
+                    std::process::exit(13);
+                }
             }
             if let Err(e) = self.store.put(fp, &bytes) {
                 sink_err = Some(e);

@@ -53,12 +53,9 @@ fn main() {
     // 4. Drive a hybrid p-ckpt campaign with the mined model.
     let app = Application::by_name("S3D").unwrap();
     let params = SimParams::paper_defaults(ModelKind::B, app);
-    let campaign = run_models(
-        &params,
-        &[ModelKind::B, ModelKind::P2],
-        &mined,
-        &RunnerConfig::new(150, 7),
-    );
+    let mut config = RunnerConfig::new(150, 7);
+    config.threads = Settings::from_env().expect("PCKPT_* settings").threads;
+    let campaign = run_models(&params, &[ModelKind::B, ModelKind::P2], &mined, &config);
     let reduction = campaign.reduction(ModelKind::P2, ModelKind::B).unwrap();
     let ft = campaign.get(ModelKind::P2).unwrap().ft_ratio_pooled();
     println!(

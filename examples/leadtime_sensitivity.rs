@@ -21,6 +21,8 @@ fn main() {
     });
 
     let leads = LeadTimeModel::desh_default();
+    let mut config = RunnerConfig::new(runs, 5);
+    config.threads = Settings::from_env().expect("PCKPT_* settings").threads;
     let models = [
         ModelKind::B,
         ModelKind::M1,
@@ -52,7 +54,7 @@ fn main() {
     ] {
         let mut params = SimParams::paper_defaults(ModelKind::B, app);
         params.lead_scale = scale;
-        let c = run_models(&params, &models, &leads, &RunnerConfig::new(runs, 5));
+        let c = run_models(&params, &models, &leads, &config);
         let b = c.get(ModelKind::B).unwrap();
         let red = |m: ModelKind| c.get(m).unwrap().reduction_vs(b);
         let ft = |m: ModelKind| c.get(m).unwrap().ft_ratio_pooled();

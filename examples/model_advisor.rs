@@ -23,6 +23,8 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(150);
     let leads = LeadTimeModel::desh_default();
+    let mut config = RunnerConfig::new(runs, 99);
+    config.threads = Settings::from_env().expect("PCKPT_* settings").threads;
 
     println!(
         "{:<9} {:<16} {:>7} {:>9} {:>9} {:>7} {:>9}  recommendation",
@@ -36,7 +38,7 @@ fn main() {
                 &params,
                 &[ModelKind::B, ModelKind::P1, ModelKind::P2],
                 &leads,
-                &RunnerConfig::new(runs, 99),
+                &config,
             );
             let p1 = campaign.reduction(ModelKind::P1, ModelKind::B).unwrap();
             let p2 = campaign.reduction(ModelKind::P2, ModelKind::B).unwrap();

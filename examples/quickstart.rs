@@ -38,7 +38,9 @@ fn main() {
 
     let params = SimParams::paper_defaults(ModelKind::B, app);
     let leads = LeadTimeModel::desh_default();
-    let campaign = run_models(&params, &ModelKind::ALL, &leads, &RunnerConfig::new(runs, 42));
+    let mut config = RunnerConfig::new(runs, 42);
+    config.threads = Settings::from_env().expect("PCKPT_* settings").threads;
+    let campaign = run_models(&params, &ModelKind::ALL, &leads, &config);
 
     let base = campaign.get(ModelKind::B).unwrap();
     println!(

@@ -4,9 +4,11 @@
 # (whose golden digests prove the recorder changes nothing it observes),
 # and the analytic-tier equivalence gates.
 #
-#   1. scripts/lint.sh        simlint, release build, root test suite,
-#                             1-run bench smoke (CAMPAIGN/METRICS_JSON,
-#                             prefilter accounting)
+#   1. scripts/lint.sh        simlint, environment access confined to
+#                             core's settings.rs, release build, root
+#                             test suite, 1-run bench smoke
+#                             (CAMPAIGN/METRICS_JSON, prefilter
+#                             accounting)
 #   2. cargo test --workspace every crate's unit tests (trace off)
 #   3. cargo build --examples the doc examples compile against the
 #                             current API (they are not test targets, so
@@ -40,7 +42,12 @@
 #                             golden grid, and the fault-injection suite
 #                             (killed / truncated / corrupted / hung
 #                             children recover to the same digest)
-#   9. campaign service       the fingerprint gates by name: the
+#   9. settings + campaign service
+#                             the PCKPT_* settings gates by name (every
+#                             variable's grammar and garbage table, and
+#                             the coordinator's child environment parsing
+#                             back to its own campaign); then the
+#                             fingerprint gates by name: the
 #                             value-encoding-vs-Debug oracle and the
 #                             campaign form (pckpt-core --lib
 #                             fingerprint) and phrasing invariance
@@ -102,7 +109,8 @@ cargo test -q --test trace_determinism sharded_grid
 cargo test -q --test shard_faults
 
 echo
-echo "==== [9/10] campaign service: fingerprints, cache, single-flight, crash/resume ===="
+echo "==== [9/10] settings + campaign service: fingerprints, cache, single-flight, crash/resume ===="
+cargo test -q -p pckpt-core --lib settings
 cargo test -q -p pckpt-core --lib fingerprint
 cargo test -q --test service_suite phrasings_of_one_campaign
 cargo test -q --test service_suite

@@ -46,6 +46,17 @@ assert not unused, "unused dependencies:\n" + "\n".join(unused)
 print("manifest dependencies all used ({} manifests)".format(len(manifests)))
 '
 
+echo "== environment access confined to settings.rs =="
+# Every PCKPT_* variable is parsed once, by pckpt_core::settings, at each
+# binary's edge; library code in core and service takes typed values.
+# Fail on any process-environment read or write anywhere else there.
+if grep -rnE 'env::(var|var_os|vars|vars_os|set_var|remove_var)\b' \
+    crates/core/src crates/service/src | grep -v '^crates/core/src/settings\.rs:'; then
+    echo "environment access outside crates/core/src/settings.rs (see above)" >&2
+    exit 1
+fi
+echo "environment access confined to crates/core/src/settings.rs"
+
 echo "== release build =="
 cargo build --release
 

@@ -57,8 +57,8 @@ pub use pckpt_workloads as workloads;
 /// The most common imports for driving simulations.
 pub mod prelude {
     pub use pckpt_core::{
-        run_grid, run_many, run_models, AdaptiveConfig, Aggregate, CampaignResult, CrSim,
-        GridCell, GridResult, ModelKind, OverheadLedger, RunResult, RunnerConfig, SimParams,
+        run_grid, run_many, run_models, AdaptiveConfig, Aggregate, CampaignResult, CrSim, GridCell,
+        GridResult, ModelKind, OverheadLedger, RunResult, RunnerConfig, Settings, SimParams,
         VrConfig,
     };
     pub use pckpt_failure::{

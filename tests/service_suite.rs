@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pckpt::core::run_grid_filtered;
+use pckpt::core::{run_grid_filtered, Settings};
 use pckpt::prelude::*;
 use pckpt_service::{
     grid_digest, parse_request, respond, serve_unix, submit_unix, Service, ServiceConfig,
@@ -44,8 +44,12 @@ fn scratch_root(tag: &str) -> PathBuf {
     dir
 }
 
+/// A service at `root` under this process's `PCKPT_*` settings, which
+/// in the crash child include `PCKPT_SERVICE_FAIL`.
 fn service_in(root: &PathBuf) -> Service {
-    let mut cfg = ServiceConfig::in_dirs(Some(root.join("cache")), Some(root.join("state")));
+    let mut cfg = ServiceConfig::from_settings(&Settings::from_env().expect("PCKPT_* settings"));
+    cfg.cache_dir = Some(root.join("cache"));
+    cfg.state_dir = Some(root.join("state"));
     cfg.sync = pckpt_service::SyncPolicy::Off; // tests kill processes, not machines
     Service::open(cfg).expect("open service")
 }
@@ -382,6 +386,7 @@ fn phrasings_of_one_campaign_share_its_fingerprints() {
          \"models\" : [ \"B\" , \"P2\" ] , \"runs\" : 4 , \"seed\" : 7 , \"threads\" : 1 }",
         r#"{"name":"phrasing","app":"POP","scales":[1.5,0.5],"models":["B","P2"],"runs":4,"seed":7,"threads":1}"#,
         r#"{"name":"phrasing","apps":["POP"],"scales":[1.50,0.5],"models":["B","P2"],"runs":4,"seed":7,"threads":1}"#,
+        r#"{"name":"phrasing","apps":["POP"],"scales":[1.5,0.5],"models":["B","P2"],"runs":4,"seed":7,"threads":1,"prefilter":"off"}"#,
     ];
     let root = scratch_root("phrasing");
     let service = service_in(&root);

@@ -11,10 +11,7 @@
 #![allow(dead_code)]
 
 use pckpt::core::iosim::PfsMode;
-use pckpt::core::{
-    run_shard_child, shard_child_config, shard_spec_from_env, GridCell, GridResult, ModelKind,
-    ShardLauncher,
-};
+use pckpt::core::{run_shard_child, GridCell, GridResult, ModelKind, Settings, ShardLauncher};
 use pckpt::prelude::*;
 
 /// Environment variable carrying the grid recipe to shard children.
@@ -98,13 +95,16 @@ pub fn cells_from_recipe(recipe: &str) -> Result<Vec<GridCell>, String> {
 /// (the caller's test then passes, leaving the frame file as the real
 /// output). Returns `false` in ordinary test runs.
 pub fn maybe_run_shard_child() -> bool {
-    let Some(spec) = shard_spec_from_env() else {
+    let settings = Settings::from_env().expect("shard child settings parse");
+    let Some(spec) = &settings.shard else {
         return false;
     };
     let recipe = std::env::var(RECIPE_ENV).expect("shard child needs PCKPT_SHARD_GRID");
     let cells = cells_from_recipe(&recipe).expect("shard child got a bad recipe");
     let leads = LeadTimeModel::desh_default();
-    run_shard_child(&cells, &leads, &shard_child_config(), &spec).expect("shard child failed");
+    let config = settings.runner(settings.runs_or(1), settings.seed.unwrap_or(0));
+    run_shard_child(&cells, &leads, &config, settings.prefilter.as_ref(), spec)
+        .expect("shard child failed");
     true
 }
 

@@ -110,8 +110,9 @@ fn real_frame_bytes(seed: u64, runs: usize, index: usize) -> Vec<u8> {
         run_splits: 2,
         group_splits: 1,
         out: out.clone(),
+        fail: None,
     };
-    pckpt::core::run_shard_child(&cells, &leads, &RunnerConfig::new(runs, seed), &spec)
+    pckpt::core::run_shard_child(&cells, &leads, &RunnerConfig::new(runs, seed), None, &spec)
         .expect("in-process shard");
     let bytes = std::fs::read(&out).expect("frame file");
     std::fs::remove_file(&out).ok();
